@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 CI gate: everything a change must pass before merging.
 #
-#   1. Release build + full ctest suite (the tier-1 gate from ROADMAP.md)
+#   1. Release build + full ctest suite (the tier-1 gate from ROADMAP.md),
+#      then the benchmark's deterministic op-count probes
+#      (perfbench/run.py --selftest: warm KV hit = 1 AMO, alltoallv
+#      budgets, no steady-state pool growth)
 #   2. Seeded chaos gate: the fault-injection suite (hashtable + DSDE +
 #      KV-service workloads under a survivable fault plan, seeds 11/22/33
 #      baked into tests/test_fault.cpp and tests/test_kv.cpp) repeated to
@@ -19,6 +22,8 @@
 #      notify plane, and the KV service's seqlock reads under a
 #      concurrent writer plus its kill/failover path and the full
 #      self-healing recovery/scrub/reconfiguration suite)
+#   3b. AddressSanitizer build + the KV suite (gets rget cell snapshots
+#      into stack and fiber buffers)
 #   4. Benchmark smoke run (bench_fastpath + bench_datatype +
 #      bench_throughput + bench_collectives + bench_overlap + bench_kv JSON
 #      emission and two figure benches; the throughput bench self-gates
@@ -46,6 +51,7 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja -DCMAKE_BUILD_TYPE=Release
 cmake --build build
 ctest --test-dir build --output-on-failure
+python3 perfbench/run.py --selftest
 
 # Chaos determinism: each Chaos test runs its workload twice per seed and
 # asserts identical injected/retried/failed counters; repeating the whole
@@ -78,6 +84,10 @@ cmake --build build-tsan --target \
 ./build-tsan/tests/test_collectives
 ./build-tsan/tests/test_progress
 ./build-tsan/tests/test_kv
+
+cmake -B build-asan -G Ninja -DFOMPI_SANITIZE=address
+cmake --build build-asan --target test_kv
+./build-asan/tests/test_kv
 
 scripts/bench_smoke.sh
 

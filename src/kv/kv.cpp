@@ -13,17 +13,15 @@ namespace fompi::kv {
 
 namespace {
 
-// A KV cell is {key, version, value(, next)}: key at +0, seqlock version
-// word at +8, value at +16 — identical for top cells (stride 24) and
-// overflow cells (stride 32, next link last).
-constexpr std::size_t kVerOff = 8;
-constexpr std::size_t kValOff = 16;
-constexpr std::size_t kTopStride = 24;
-constexpr std::size_t kCellStride = 32;
+constexpr std::size_t kTopStride = 24;   // top cell {key, version, value}
+constexpr std::size_t kCellStride = 32;  // overflow cell, next link last
 
 // Seqlock spins stuck this long on an odd version check for a dead writer
 // before attempting revocation (mirrors the window's dead-lock-holder path).
 constexpr int kRevokeSpins = 256;
+
+// A fleet fiber's pause before re-reading a cell it found locked or torn.
+constexpr std::uint64_t kFiberBackoffNs = 1000;
 
 }  // namespace
 
@@ -208,21 +206,6 @@ rdma::OpStatus KvStore::amo_write(int t, std::size_t off, std::uint64_t v) {
   return wait_req(req);
 }
 
-rdma::OpStatus KvStore::amo_read2(int t1, std::size_t off1, std::uint64_t* v1,
-                                  int t2, std::size_t off2,
-                                  std::uint64_t* v2) {
-  // Both reads are in flight before either is awaited, so they overlap on
-  // the wire: a generation check piggybacked this way adds ~no round trip
-  // to the epoch check it rides with (the sim_kv AMO budgets rely on it).
-  auto r1 =
-      win_.rfetch_and_op(nullptr, v1, Elem::u64, RedOp::no_op, t1, off1);
-  auto r2 =
-      win_.rfetch_and_op(nullptr, v2, Elem::u64, RedOp::no_op, t2, off2);
-  const auto s1 = wait_req(r1);
-  const auto s2 = wait_req(r2);
-  return s1 != rdma::OpStatus::ok ? s1 : s2;
-}
-
 // --- versioned routing -------------------------------------------------------
 //
 // The routing table carries a generation word: even = stable, odd = a
@@ -378,76 +361,20 @@ rdma::OpStatus KvStore::maybe_revoke(int t, std::size_t ver_off,
 
 // --- seqlock cell protocol ----------------------------------------------------
 
-rdma::OpStatus KvStore::seq_read(int t, std::size_t cell_off,
-                                 std::uint64_t key, std::uint64_t* value,
-                                 bool* found) {
+rdma::OpStatus KvStore::lock_cell(int t, std::size_t cell_off,
+                                  std::uint64_t* ver) {
   Backoff bo;
   int stuck = 0;
-  while (true) {
-    std::uint64_t v1 = 0;
-    auto st = amo_read(t, cell_off + kVerOff, &v1);
+  while (true) {  // CAS version even -> odd
+    auto st = amo_read(t, cell_off + kVerOff, ver);
     if (st != rdma::OpStatus::ok) return st;
-    if (v1 == 0) {  // insert claimed but not linearized yet: a legal miss
-      *found = false;
-      return rdma::OpStatus::ok;
-    }
-    if ((v1 & 1) != 0) {  // write in progress
-      ++stats_.read_retries;
-      count(Op::kv_read_retry);
-      if (++stuck > kRevokeSpins) {
-        // Host died with the cell locked: the frozen image stays odd
-        // forever and revocation cannot land. Retire typed so the caller
-        // fails over to the other copy instead of spinning on the corpse.
-        if (maybe_revoke(t, cell_off + kVerOff, v1) ==
-            rdma::OpStatus::peer_dead) {
-          return rdma::OpStatus::peer_dead;
-        }
-        stuck = 0;
-      }
-      bo.pause();
-      fabric_->yield_check();
-      continue;
-    }
-    // Key re-read inside the version snapshot: the cell may have been
-    // tombstoned and reclaimed by a different key since we located it.
-    std::uint64_t k = 0;
-    st = amo_read(t, cell_off, &k);
-    if (st != rdma::OpStatus::ok) return st;
-    std::uint64_t val = 0;
-    st = amo_read(t, cell_off + kValOff, &val);
-    if (st != rdma::OpStatus::ok) return st;
-    std::uint64_t v2 = 0;
-    st = amo_read(t, cell_off + kVerOff, &v2);
-    if (st != rdma::OpStatus::ok) return st;
-    if (v1 == v2) {
-      *found = (k == key);
-      *value = *found ? val : 0;
-      return rdma::OpStatus::ok;
-    }
-    ++stats_.read_retries;  // version moved underneath us: reread
-    count(Op::kv_read_retry);
-    bo.pause();
-    fabric_->yield_check();
-  }
-}
-
-rdma::OpStatus KvStore::seq_write(int t, int shard, bool replica,
-                                  std::size_t cell_off, std::uint64_t value) {
-  // value == kTombstone means erase: the KEY word is overwritten (readers
-  // then miss), the value word is left alone.
-  Backoff bo;
-  int stuck = 0;
-  std::uint64_t v = 0;
-  while (true) {  // lock: CAS version even -> odd
-    auto st = amo_read(t, cell_off + kVerOff, &v);
-    if (st != rdma::OpStatus::ok) return st;
-    if ((v & 1) == 0) {
+    if ((*ver & 1) == 0) {
       std::uint64_t prev = 0;
-      st = amo_cas(t, cell_off + kVerOff, v, v + 1, &prev);
+      st = amo_cas(t, cell_off + kVerOff, *ver, *ver + 1, &prev);
       if (st != rdma::OpStatus::ok) return st;
-      if (prev == v) break;
+      if (prev == *ver) return rdma::OpStatus::ok;
     } else if (++stuck > kRevokeSpins) {
-      if (maybe_revoke(t, cell_off + kVerOff, v) ==
+      if (maybe_revoke(t, cell_off + kVerOff, *ver) ==
           rdma::OpStatus::peer_dead) {
         return rdma::OpStatus::peer_dead;  // host dead, lock frozen odd
       }
@@ -456,8 +383,42 @@ rdma::OpStatus KvStore::seq_write(int t, int shard, bool replica,
     bo.pause();
     fabric_->yield_check();
   }
-  auto st = value == kTombstone ? amo_write(t, cell_off, kTombstone)
-                                : amo_write(t, cell_off + kValOff, value);
+}
+
+rdma::OpStatus KvStore::reclaim_cell(int t, std::size_t cell_off,
+                                     std::uint64_t key, std::uint64_t value,
+                                     bool* won) {
+  // Under the version lock, so no snapshot pairs the new key with the
+  // erased key's value; and value before key, so that also holds when this
+  // writer dies mid-reclaim and a survivor revokes the lock. Only lock
+  // holders change a claimed key word, so the key read below is stable.
+  *won = false;
+  std::uint64_t v = 0;
+  auto st = lock_cell(t, cell_off, &v);
+  if (st != rdma::OpStatus::ok) return st;
+  std::uint64_t k = 0;
+  st = amo_read(t, cell_off, &k);
+  if (st == rdma::OpStatus::ok && (k == kTombstone || k == key)) {
+    *won = true;  // a tombstone, or a racing reclaim for this same key
+    st = amo_write(t, cell_off + kValOff, value);
+    if (st == rdma::OpStatus::ok && k == kTombstone) {
+      st = amo_write(t, cell_off, key);
+    }
+  }
+  // Release even on failure so a typed fault does not wedge the cell.
+  const auto rel = amo_write(t, cell_off + kVerOff, v + 2);
+  return st != rdma::OpStatus::ok ? st : rel;
+}
+
+rdma::OpStatus KvStore::seq_write(int t, int shard, bool replica,
+                                  std::size_t cell_off, std::uint64_t value) {
+  // value == kTombstone means erase: the KEY word is overwritten (readers
+  // then miss), the value word is left alone.
+  std::uint64_t v = 0;
+  auto st = lock_cell(t, cell_off, &v);
+  if (st != rdma::OpStatus::ok) return st;
+  st = value == kTombstone ? amo_write(t, cell_off, kTombstone)
+                           : amo_write(t, cell_off + kValOff, value);
   // Release even on failure so a typed fault does not wedge the cell.
   const auto rel = amo_write(t, cell_off + kVerOff, v + 2);
   if (st == rdma::OpStatus::ok) st = rel;
@@ -466,15 +427,22 @@ rdma::OpStatus KvStore::seq_write(int t, int shard, bool replica,
   return amo_add(t, epoch_off(shard, replica), 1);
 }
 
+core::RmaRequest KvStore::rget_cell(int t, std::size_t cell_off,
+                                    CellWords* c, bool with_next) {
+  // Aligned word runs move word-atomically: no word tears against an AMO.
+  return win_.rget(c, with_next ? sizeof(CellWords) : 3 * sizeof(std::uint64_t),
+                   t, cell_off);
+}
+
 // --- cell location ------------------------------------------------------------
 
 rdma::OpStatus KvStore::locate(int t, const BucketLayout& l,
                                std::uint64_t key, bool claim,
                                std::uint64_t value, std::size_t* cell_off,
-                               bool* fresh_insert) {
+                               bool* published) {
   const std::size_t slot = slot_of(key);
   *cell_off = 0;
-  *fresh_insert = false;
+  *published = false;
   Backoff bo;
   while (true) {  // restarted only by tombstone-reclaim races
     if (claim) {
@@ -486,11 +454,12 @@ rdma::OpStatus KvStore::locate(int t, const BucketLayout& l,
         return rdma::OpStatus::ok;
       }
       if (prev == kTombstone) {  // reclaim the erased top cell
-        std::uint64_t p2 = 0;
-        st = amo_cas(t, l.off_table(slot), kTombstone, key, &p2);
+        bool won = false;
+        st = reclaim_cell(t, l.off_table(slot), key, value, &won);
         if (st != rdma::OpStatus::ok) return st;
-        if (p2 == kTombstone) {
+        if (won) {
           *cell_off = l.off_table(slot);
+          *published = true;
           return rdma::OpStatus::ok;
         }
         bo.pause();  // lost the reclaim race: re-examine the slot
@@ -522,11 +491,12 @@ rdma::OpStatus KvStore::locate(int t, const BucketLayout& l,
         return rdma::OpStatus::ok;
       }
       if (claim && k == kTombstone) {  // reclaim an erased chain cell
-        std::uint64_t p2 = 0;
-        st = amo_cas(t, l.off_heap(idx), kTombstone, key, &p2);
+        bool won = false;
+        st = reclaim_cell(t, l.off_heap(idx), key, value, &won);
         if (st != rdma::OpStatus::ok) return st;
-        if (p2 == kTombstone || p2 == key) {
+        if (won) {
           *cell_off = l.off_heap(idx);
+          *published = true;
           return rdma::OpStatus::ok;
         }
       }
@@ -567,36 +537,24 @@ rdma::OpStatus KvStore::locate(int t, const BucketLayout& l,
       fabric_->yield_check();
     }
     *cell_off = l.off_heap(static_cast<std::size_t>(idx));
-    *fresh_insert = true;
+    *published = true;
     return rdma::OpStatus::ok;
   }
 }
 
 // --- region-level ops --------------------------------------------------------
 
-rdma::OpStatus KvStore::read_region(int t, const BucketLayout& l,
-                                    std::uint64_t key, std::uint64_t* value,
-                                    bool* found) {
-  *found = false;
-  *value = 0;
-  std::size_t cell = 0;
-  bool fresh = false;
-  const auto st = locate(t, l, key, /*claim=*/false, 0, &cell, &fresh);
-  if (st != rdma::OpStatus::ok || cell == 0) return st;
-  return seq_read(t, cell, key, value, found);
-}
-
 rdma::OpStatus KvStore::write_region(int t, int shard, bool replica,
                                      std::uint64_t key, std::uint64_t value,
                                      bool is_erase) {
   std::size_t cell = 0;
-  bool fresh = false;
+  bool published = false;
   const auto st =
       locate(t, layout_for(shard, replica), key, /*claim=*/!is_erase, value,
-             &cell, &fresh);
+             &cell, &published);
   if (st != rdma::OpStatus::ok) return st;
   if (cell == 0) return rdma::OpStatus::ok;  // erase of an absent key
-  if (fresh) {  // already published whole; just invalidate caches
+  if (published) {  // the claim wrote the value; just invalidate caches
     return amo_add(t, epoch_off(shard, replica), 1);
   }
   return seq_write(t, shard, replica, cell, is_erase ? kTombstone : value);
@@ -622,29 +580,37 @@ rdma::OpStatus KvStore::data_loss_on(int /*shard*/) {
 rdma::OpStatus KvStore::put(std::uint64_t key, std::uint64_t value) {
   require_user_key(key);
   ++stats_.puts;
+  return write(key, value, /*is_erase=*/false);
+}
+
+rdma::OpStatus KvStore::erase(std::uint64_t key) {
+  require_user_key(key);
+  ++stats_.erases;
+  return write(key, 0, /*is_erase=*/true);
+}
+
+rdma::OpStatus KvStore::write(std::uint64_t key, std::uint64_t value,
+                              bool is_erase) {
   const auto gst = check_generation();
   if (gst != rdma::OpStatus::ok) return gst;
   const int shard = shard_of(key);
-  if (!degraded_[static_cast<std::size_t>(shard)] &&
-      !win_.peer_alive(owner_of(shard))) {
-    fail_over(shard);
-  }
-  if (degraded_[static_cast<std::size_t>(shard)]) {
+  if (!degraded(shard) && !win_.peer_alive(owner_of(shard))) fail_over(shard);
+  if (degraded(shard)) {
     const int rep = replica_of(shard);
     if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    return write_region(rep, shard, /*replica=*/true, key, value, false);
+    return write_region(rep, shard, /*replica=*/true, key, value, is_erase);
   }
-  auto st = write_region(owner_of(shard), shard, false, key, value, false);
+  auto st = write_region(owner_of(shard), shard, false, key, value, is_erase);
   if (st == rdma::OpStatus::peer_dead) {
     ++stats_.peer_dead_ops;
     fail_over(shard);
     const int rep = replica_of(shard);
     if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    return write_region(rep, shard, true, key, value, false);
+    return write_region(rep, shard, true, key, value, is_erase);
   }
   if (st != rdma::OpStatus::ok || !cfg_.replicate) return st;
   const auto rst =
-      write_region(replica_of(shard), shard, true, key, value, false);
+      write_region(replica_of(shard), shard, true, key, value, is_erase);
   if (rst == rdma::OpStatus::peer_dead) {
     ++stats_.peer_dead_ops;  // primary holds the write: absorbed
     return rdma::OpStatus::ok;
@@ -652,120 +618,259 @@ rdma::OpStatus KvStore::put(std::uint64_t key, std::uint64_t value) {
   return rst;
 }
 
-rdma::OpStatus KvStore::erase(std::uint64_t key) {
-  require_user_key(key);
-  ++stats_.erases;
-  const auto gst = check_generation();
-  if (gst != rdma::OpStatus::ok) return gst;
-  const int shard = shard_of(key);
-  if (!degraded_[static_cast<std::size_t>(shard)] &&
-      !win_.peer_alive(owner_of(shard))) {
-    fail_over(shard);
+// --- get: one read for blocking and fleet clients ----------------------------
+//
+// A get is a few rounds; each round's ops (at most three) overlap on the
+// wire, and the next round is issued only once all of them retired. GetOp
+// is the whole read — routing, generation and cache checks, cell snapshot,
+// chain walk, seqlock retries, failover — as a state machine: step()
+// consumes the settled round and issues the next. get() runs it on the
+// calling thread; a ClientFiber parks on the same handles. Remote rounds:
+//   warm hit         {epoch}                            1 AMO
+//   unclaimed slot   {epoch, v1} > top rget             2 AMOs + 1 get
+//   top-cell key     {epoch, v1} > top rget > v2        3 AMOs + 1 get
+//   k-hop chain key  {epoch, v1} > top rget > head > k hop rgets
+//                    > v1 > cell rget > v2              5 AMOs + (k+2) gets
+// v1 joins the epoch round only for uncached keys (a cached key expects a
+// hit); once a death was observed the generation read joins it too.
+
+struct KvStore::GetOp {
+  explicit GetOp(KvStore& kv) : kv(kv) {}
+
+  void start(std::uint64_t k) {
+    require_user_key(k);
+    ++kv.stats_.gets;
+    key = k;
+    phase = Phase::route;
+    status = rdma::OpStatus::ok;
+    found = hit = backoff = false;
+    value = 0;
   }
-  if (degraded_[static_cast<std::size_t>(shard)]) {
-    const int rep = replica_of(shard);
-    if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    return write_region(rep, shard, true, key, 0, /*is_erase=*/true);
+
+  /// Consumes the settle()d round and issues the next; true once the get
+  /// retired (status, found, value and hit are then final). No pending()
+  /// ops with `backoff` set means: pause, then step() again.
+  bool step() {
+    backoff = false;
+    if (phase >= Phase::v1 && phase <= Phase::hop &&
+        sts[0] != rdma::OpStatus::ok) {
+      return fail(sts[0]);
+    }
+    switch (phase) {
+      case Phase::route:
+        shard = kv.shard_of(key);
+        slot = kv.slot_of(key);
+        if (!kv.degraded(shard) && !kv.win_.peer_alive(kv.owner_of(shard))) {
+          kv.fail_over(shard);
+        }
+        return open(kv.degraded(shard));
+      case Phase::probe:
+        return probed();
+      case Phase::reread:
+        return read_word(cell_off + kVerOff, &v1, Phase::v1);
+      case Phase::v1:
+        return read_cell(cell_off, /*with_next=*/false, Phase::cell);
+      case Phase::cell:
+        if (cell.key != key) {
+          // A claimed top slot never empties, so an empty one has no chain;
+          // a chain cell rekeyed since the hop was erased: misses both.
+          if (in_chain || cell.key == 0) return finish(rdma::OpStatus::ok);
+          return read_word(l.off_chain(slot), &head, Phase::head);
+        }
+        if (v1 == 0) {  // claimed, not linearized yet: a legal miss
+          return finish(rdma::OpStatus::ok);
+        }
+        if ((v1 & 1) == 0) return read_word(cell_off + kVerOff, &v2, Phase::v2);
+        // Write in progress. A host that died holding the lock leaves the
+        // version odd for good: revocation then fails typed, and we fail over.
+        if (++stuck > kRevokeSpins) {
+          if (kv.maybe_revoke(t, cell_off + kVerOff, v1) ==
+              rdma::OpStatus::peer_dead) {
+            return fail(rdma::OpStatus::peer_dead);
+          }
+          stuck = 0;
+        }
+        return pause();
+      case Phase::v2:
+        if (!snapshot_ok(v1, cell, v2)) return pause();  // torn: reread
+        found = true;
+        value = cell.val;
+        return finish(rdma::OpStatus::ok);
+      case Phase::hop:
+        if (cell.key == key) {  // snapshot the matching chain cell
+          in_chain = true;
+          cell_off = l.off_heap(static_cast<std::size_t>(head - 1));
+          return read_word(cell_off + kVerOff, &v1, Phase::v1);
+        }
+        head = cell.next;
+        [[fallthrough]];
+      case Phase::head:
+        if (head == 0) return finish(rdma::OpStatus::ok);  // chain end: miss
+        return read_cell(l.off_heap(static_cast<std::size_t>(head - 1)),
+                         /*with_next=*/true, Phase::hop);
+      case Phase::done:
+        break;
+    }
+    return true;
   }
-  auto st = write_region(owner_of(shard), shard, false, key, 0, true);
-  if (st == rdma::OpStatus::peer_dead) {
-    ++stats_.peer_dead_ops;
-    fail_over(shard);
-    const int rep = replica_of(shard);
-    if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    return write_region(rep, shard, true, key, 0, true);
+
+  /// Ops of the round in flight: await each, settle() its status.
+  std::size_t pending() const noexcept { return n; }
+  core::RmaRequest& request(std::size_t i) noexcept { return reqs[i]; }
+  void settle(std::size_t i, rdma::OpStatus st) noexcept { sts[i] = st; }
+
+  bool backoff = false;
+  bool found = false;
+  bool hit = false;  ///< served from the epoch-validated cache
+  rdma::OpStatus status = rdma::OpStatus::ok;
+  std::uint64_t value = 0;
+
+ private:
+  // Single-op rounds are v1..hop; route, probe and reread read no status.
+  enum class Phase { route, probe, reread, v1, cell, v2, head, hop, done };
+  static constexpr std::size_t kUnset = 3;  ///< op not in the first round
+
+  std::size_t sh() const { return static_cast<std::size_t>(shard); }
+  std::size_t amo(int target, std::size_t off, std::uint64_t* v) {
+    reqs[n] = kv.win_.rfetch_and_op(nullptr, v, Elem::u64, RedOp::no_op,
+                                    target, off);
+    return n++;
   }
-  if (st != rdma::OpStatus::ok || !cfg_.replicate) return st;
-  const auto rst = write_region(replica_of(shard), shard, true, key, 0, true);
-  if (rst == rdma::OpStatus::peer_dead) {
-    ++stats_.peer_dead_ops;
-    return rdma::OpStatus::ok;
+  bool read_word(std::size_t off, std::uint64_t* v, Phase next) {
+    n = 0;
+    amo(t, off, v);
+    phase = next;
+    return false;
   }
-  return rst;
-}
+  bool read_cell(std::size_t off, bool with_next, Phase next) {
+    n = 0;
+    reqs[n++] = kv.rget_cell(t, off, &cell, with_next);
+    phase = next;
+    return false;
+  }
+  bool pause() {
+    ++kv.stats_.read_retries;
+    count(Op::kv_read_retry);
+    n = 0;
+    backoff = true;
+    phase = Phase::reread;
+    return false;
+  }
+
+  /// First round against one copy: {generation?, epoch?, top v1?}.
+  bool open(bool replica) {
+    deg = replica;
+    t = deg ? kv.replica_of(shard) : kv.owner_of(shard);
+    if (deg && !kv.win_.peer_alive(t)) return finish(kv.data_loss_on(shard));
+    l = kv.layout_for(shard, deg);
+    cell_off = l.off_table(slot);
+    in_chain = ep_valid = false;
+    stuck = 0;
+    n = 0;
+    gen_i = ep_i = v1_i = kUnset;
+    if (kv.routing_suspect()) gen_i = amo(kv.cfg_.routing_rank, 0, &g);
+    // Degraded reads bypass the cache: primary-stamped epochs cannot be
+    // validated against the replica.
+    const bool cached = kv.cfg_.client_cache && !deg;
+    if (cached) ep_i = amo(t, kv.epoch_off(shard, false), &ep);
+    if (!cached || kv.cache_[sh()].count(key) == 0) {
+      v1_i = amo(t, cell_off + kVerOff, &v1);
+    }
+    phase = Phase::probe;
+    return false;
+  }
+
+  bool probed() {
+    if (gen_i != kUnset) {
+      if (sts[gen_i] != rdma::OpStatus::ok) return finish(sts[gen_i]);
+      if (g != kv.gen_seen_) return finish(kv.handle_gen_mismatch(g));
+    }
+    if (ep_i != kUnset) {
+      auto& entries = kv.cache_[sh()];
+      if (sts[ep_i] == rdma::OpStatus::ok) {
+        ep_valid = true;
+        if (ep != kv.epoch_seen_[sh()]) {  // a writer bumped the epoch
+          entries.clear();
+          kv.epoch_seen_[sh()] = ep;
+        } else if (const auto it = entries.find(key); it != entries.end()) {
+          value = it->second;
+          found = hit = true;
+          ++kv.stats_.cache_hits;
+          count(Op::kv_cache_hit);
+          return finish(rdma::OpStatus::ok);
+        }
+      }
+      ++kv.stats_.cache_misses;
+      count(Op::kv_cache_miss);
+    }
+    if (v1_i == kUnset) return read_word(cell_off + kVerOff, &v1, Phase::v1);
+    if (sts[v1_i] != rdma::OpStatus::ok) return fail(sts[v1_i]);
+    return read_cell(cell_off, /*with_next=*/false, Phase::cell);
+  }
+
+  bool fail(rdma::OpStatus st) {
+    if (st != rdma::OpStatus::peer_dead || deg) return finish(st);
+    ++kv.stats_.peer_dead_ops;
+    kv.fail_over(shard);
+    return open(/*replica=*/true);
+  }
+
+  bool finish(rdma::OpStatus st) {
+    status = st;
+    n = 0;
+    phase = Phase::done;
+    // Cache only a value read after this get's own epoch check, and only
+    // while that epoch is still the stamp: a fiber that read an older
+    // epoch must not file its value under a newer one.
+    if (st == rdma::OpStatus::ok && found && !hit && ep_valid &&
+        !kv.degraded(shard) && kv.epoch_seen_[sh()] == ep) {
+      kv.cache_[sh()][key] = value;
+    }
+    return true;
+  }
+
+  KvStore& kv;
+  std::uint64_t key = 0;
+  Phase phase = Phase::done;
+  int shard = 0, t = 0, stuck = 0;
+  bool deg = false, in_chain = false;
+  bool ep_valid = false;  ///< `ep` was read in this get's first round
+  std::size_t slot = 0, cell_off = 0, n = 0;
+  std::size_t gen_i = kUnset, ep_i = kUnset, v1_i = kUnset;
+  BucketLayout l;
+  std::uint64_t g = 0, ep = 0, v1 = 0, v2 = 0, head = 0;
+  CellWords cell;
+  core::RmaRequest reqs[3];
+  rdma::OpStatus sts[3] = {};
+};
 
 rdma::OpStatus KvStore::get(std::uint64_t key, std::uint64_t* value,
                             bool* found) {
-  require_user_key(key);
-  ++stats_.gets;
-  *found = false;
-  *value = 0;
-  const int shard = shard_of(key);
-  const bool suspect = routing_suspect();
-  if (!degraded_[static_cast<std::size_t>(shard)] &&
-      !win_.peer_alive(owner_of(shard))) {
-    fail_over(shard);
-  }
-  const bool deg = degraded_[static_cast<std::size_t>(shard)];
-  const int t = deg ? replica_of(shard) : owner_of(shard);
-  if (deg && !win_.peer_alive(t)) return data_loss_on(shard);
-
-  bool gen_checked = !suspect;
-  if (cfg_.client_cache && !deg) {
-    std::uint64_t ep = 0;
-    rdma::OpStatus est;
-    if (suspect) {
-      // The generation check rides alongside the epoch check: both AMOs
-      // in flight together, so validation costs one overlapped round
-      // trip, not two serialized ones (the 1.5x post-recovery p99 budget
-      // depends on this).
-      std::uint64_t g = 0;
-      est = amo_read2(cfg_.routing_rank, 0, &g, t, epoch_off(shard, false),
-                      &ep);
-      if (est == rdma::OpStatus::ok) {
-        gen_checked = true;
-        if (g != gen_seen_) return handle_gen_mismatch(g);
-      }
-    } else {
-      est = amo_read(t, epoch_off(shard, false), &ep);
+  GetOp op(*this);
+  op.start(key);
+  Backoff bo;
+  while (!op.step()) {
+    if (op.backoff) {
+      bo.pause();
+      fabric_->yield_check();
+      continue;
     }
-    if (est == rdma::OpStatus::ok) {
-      auto& entries = cache_[static_cast<std::size_t>(shard)];
-      if (ep == epoch_seen_[static_cast<std::size_t>(shard)]) {
-        const auto it = entries.find(key);
-        if (it != entries.end()) {
-          *value = it->second;
-          *found = true;
-          ++stats_.cache_hits;
-          count(Op::kv_cache_hit);
-          return rdma::OpStatus::ok;
-        }
-      } else {  // a writer bumped the epoch: drop the whole shard's view
-        entries.clear();
-        epoch_seen_[static_cast<std::size_t>(shard)] = ep;
-      }
+    for (std::size_t i = 0; i < op.pending(); ++i) {
+      op.settle(i, wait_req(op.request(i)));
     }
-    ++stats_.cache_misses;
-    count(Op::kv_cache_miss);
   }
-  if (!gen_checked) {
-    const auto gst = check_generation();
-    if (gst != rdma::OpStatus::ok) return gst;
-  }
-
-  auto st = read_region(t, layout_for(shard, deg), key, value, found);
-  if (st == rdma::OpStatus::peer_dead && !deg) {
-    ++stats_.peer_dead_ops;
-    fail_over(shard);
-    const int rep = replica_of(shard);
-    if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    st = read_region(rep, layout_for(shard, true), key, value, found);
-  }
-  if (st == rdma::OpStatus::ok && *found && cfg_.client_cache && !deg &&
-      !degraded_[static_cast<std::size_t>(shard)]) {
-    cache_[static_cast<std::size_t>(shard)][key] = *value;
-  }
-  return st;
+  *value = op.value;
+  *found = op.found;
+  return op.status;
 }
 
 // --- closed-loop client fleet -------------------------------------------------
 //
-// Each fiber pulls ops off a shared per-rank cursor. The dominant path — a
-// cache-validating get that hits, or a top-cell versioned read — runs as an
-// explicit-handle AMO pipeline (the fiber parks on each in-flight word),
-// so one rank keeps `fibers` ops in flight. Rare paths (chain walks,
-// seqlock retries, writes, degraded routing) fall back to the blocking
-// client ops: correct, just momentarily unoverlapped.
+// Each fiber pulls ops off a shared per-rank cursor. Gets run the GetOp
+// above, the fiber parking on each round's handles, so one rank keeps
+// `fibers` reads in flight through cache checks, snapshots, chain walks
+// and failover alike. Writes run the blocking put, then let the reads
+// whose rounds retired during it advance first.
 
 struct KvStore::ClientFiber final : fabric::progress::Fiber {
   struct FleetOp {
@@ -775,10 +880,9 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
 
   ClientFiber(KvStore& kv, const std::vector<FleetOp>& ops,
               std::size_t* cursor, FleetResult* res)
-      : kv(kv), ops(ops), cursor(cursor), res(res) {}
+      : kv(kv), ops(ops), cursor(cursor), res(res), read(kv) {}
 
-  void record(bool is_read, std::uint64_t t0,
-              rdma::OpStatus st = rdma::OpStatus::ok) {
+  void record(bool is_read, std::uint64_t t0, rdma::OpStatus st) {
     // Retirement identity: every pulled op lands in exactly one bucket, so
     // issued == ok + peer_dead + retry_routing + data_loss + failed_other
     // (the chaos tests assert this).
@@ -801,151 +905,45 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
                 ops[at].key, dur);
   }
 
-  void blocking_op(std::uint64_t t0) {
-    std::uint64_t v = 0;
-    bool found = false;
-    const auto st = ops[at].is_read
-                        ? kv.get(ops[at].key, &v, &found)
-                        : kv.put(ops[at].key, ops[at].key * 31 + 7);
-    record(ops[at].is_read, t0, st);
-  }
-
   void step(fabric::progress::Scheduler& s) override {
     FOMPI_FIBER_BEGIN();
     while (*cursor < ops.size()) {
       at = (*cursor)++;
       ++res->issued;
       t0 = now_ns();
-      shard = kv.shard_of(ops[at].key);
-      target = kv.owner_of(shard);  // trace label even on the slow path
-      if (!ops[at].is_read || kv.routing_suspect() ||
-          kv.degraded_[static_cast<std::size_t>(shard)] ||
-          !kv.win_.peer_alive(target)) {
-        // Writes, degraded routing, and any post-death op (which must
-        // validate the routing generation) take the blocking path.
-        blocking_op(t0);
+      target = kv.owner_of(kv.shard_of(ops[at].key));  // trace label
+      if (!ops[at].is_read) {
+        record(false, t0, kv.put(ops[at].key, ops[at].key * 31 + 7));
+        // Due now, so the heap wakes the earlier-due parked reads first.
+        FOMPI_FIBER_BACKOFF(s, 0);
         continue;
       }
-      l = kv.layout_for(shard, false);
-      ++kv.stats_.gets;
-      if (kv.cfg_.client_cache) {
-        // Pipelined cache validation: one awaited epoch AMO.
-        req = kv.win_.rfetch_and_op(nullptr, &ep, Elem::u64, RedOp::no_op,
-                                    target, kv.epoch_off(shard, false));
-        FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-        req.dismiss();
-        if (wake_status() != rdma::OpStatus::ok) {
-          --kv.stats_.gets;  // hand the whole op to the blocking path
-          blocking_op(t0);
+      read.start(ops[at].key);
+      while (!read.step()) {
+        if (read.backoff) {
+          FOMPI_FIBER_BACKOFF(s, kFiberBackoffNs);
           continue;
         }
-        if (ep == kv.epoch_seen_[static_cast<std::size_t>(shard)]) {
-          if (cache_lookup()) {
-            record(true, t0);
-            continue;
-          }
-        } else {
-          kv.cache_[static_cast<std::size_t>(shard)].clear();
-          kv.epoch_seen_[static_cast<std::size_t>(shard)] = ep;
+        for (hi = 0; hi < read.pending(); ++hi) {
+          FOMPI_FIBER_AWAIT(s, read.request(hi).handles()[0]);
+          read.request(hi).dismiss();
+          read.settle(hi, wake_status());
         }
-        ++kv.stats_.cache_misses;
-        count(Op::kv_cache_miss);
       }
-      // Pipelined top-cell versioned read.
-      req = kv.win_.rfetch_and_op(nullptr, &top, Elem::u64, RedOp::no_op,
-                                  target, l.off_table(kv.slot_of(ops[at].key)));
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      if (wake_status() != rdma::OpStatus::ok) {
-        fallback_whole_read(t0);
-        continue;
-      }
-      if (top == 0) {  // empty slot: a miss, complete
-        record(true, t0);
-        continue;
-      }
-      if (top != ops[at].key) {  // collision chain: rare, blocking walk
-        fallback_located_read(t0);
-        continue;
-      }
-      cell = l.off_table(kv.slot_of(ops[at].key));
-      req = kv.win_.rfetch_and_op(nullptr, &v1, Elem::u64, RedOp::no_op,
-                                  target, cell + kVerOff);
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      if (wake_status() != rdma::OpStatus::ok || (v1 & 1) != 0) {
-        fallback_located_read(t0);
-        continue;
-      }
-      if (v1 == 0) {  // claimed, not linearized: a legal miss
-        record(true, t0);
-        continue;
-      }
-      req = kv.win_.rfetch_and_op(nullptr, &kw, Elem::u64, RedOp::no_op,
-                                  target, cell);
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      req = kv.win_.rfetch_and_op(nullptr, &val, Elem::u64, RedOp::no_op,
-                                  target, cell + kValOff);
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      req = kv.win_.rfetch_and_op(nullptr, &v2, Elem::u64, RedOp::no_op,
-                                  target, cell + kVerOff);
-      FOMPI_FIBER_AWAIT(s, req.handles()[0]);
-      req.dismiss();
-      if (wake_status() != rdma::OpStatus::ok || v1 != v2) {
-        ++kv.stats_.read_retries;  // torn snapshot: resolve blocking
-        count(Op::kv_read_retry);
-        fallback_located_read(t0);
-        continue;
-      }
-      if (kw == ops[at].key && kv.cfg_.client_cache &&
-          !kv.degraded_[static_cast<std::size_t>(shard)]) {
-        kv.cache_[static_cast<std::size_t>(shard)][ops[at].key] = val;
-      }
-      record(true, t0);
+      if (read.hit) ++res->cache_hits;
+      record(true, t0, read.status);
     }
     FOMPI_FIBER_END();
-  }
-
-  bool cache_lookup() {
-    auto& entries = kv.cache_[static_cast<std::size_t>(shard)];
-    const auto it = entries.find(ops[at].key);
-    if (it == entries.end()) return false;
-    ++kv.stats_.cache_hits;
-    ++res->cache_hits;
-    count(Op::kv_cache_hit);
-    return true;
-  }
-
-  void fallback_whole_read(std::uint64_t t0_) {
-    --kv.stats_.gets;
-    --kv.stats_.cache_misses;  // get() re-counts the full op
-    blocking_op(t0_);
-  }
-
-  void fallback_located_read(std::uint64_t t0_) {
-    std::uint64_t v = 0;
-    bool found = false;
-    const auto st = kv.read_region(target, l, ops[at].key, &v, &found);
-    if (st == rdma::OpStatus::peer_dead) {
-      kv.fail_over(shard);
-    } else if (st == rdma::OpStatus::ok && found && kv.cfg_.client_cache &&
-               !kv.degraded_[static_cast<std::size_t>(shard)]) {
-      kv.cache_[static_cast<std::size_t>(shard)][ops[at].key] = v;
-    }
-    record(true, t0_, st);
   }
 
   KvStore& kv;
   const std::vector<FleetOp>& ops;
   std::size_t* cursor;
   FleetResult* res;
-  std::size_t at = 0, cell = 0;
-  std::uint64_t t0 = 0, ep = 0, top = 0, v1 = 0, v2 = 0, kw = 0, val = 0;
-  int shard = 0, target = 0;
-  BucketLayout l;
-  core::RmaRequest req;
+  GetOp read;
+  std::size_t at = 0, hi = 0;
+  std::uint64_t t0 = 0;
+  int target = 0;
 };
 
 KvStore::FleetResult KvStore::run_fleet(fabric::RankCtx& ctx,

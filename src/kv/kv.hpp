@@ -7,10 +7,10 @@
 // data path. Each shard region reuses the CAS-bucket scheme (kv/bucket.hpp)
 // with widened cells {key, version, value(, next)}:
 //
-//   * get  — a one-sided versioned read: the 8-byte version word is a
-//     seqlock over RMA (odd = write in progress). The reader atomically
-//     reads version / value / version and retries on mismatch; version 0
-//     means the insert has not linearized yet and reads as a miss.
+//   * get  — a one-sided cell snapshot: the 8-byte version word is a
+//     seqlock over RMA (odd = write in progress). The reader reads v1, the
+//     {key, version, value} cell with ONE rget, then v2, and retries on
+//     mismatch; version 0 means the insert has not linearized (a miss).
 //   * put / erase — remote-CAS chains: claim the key word (CAS), lock the
 //     cell (CAS version even -> odd), write the value (accumulate-replace,
 //     atomic), release (version + 2), then bump the shard's version-epoch
@@ -20,7 +20,7 @@
 //   * client cache — per-shard epoch-stamped: all cached entries of a
 //     shard are valid exactly while the shard's epoch word is unchanged,
 //     so a cache hit costs ONE remote AMO (the epoch check) instead of the
-//     uncached read's six.
+//     uncached read's three rounds.
 //   * replication / failover — writes fan out to a replica region on rank
 //     (owner+1)%p; a client observing the owner dead (fail-stop liveness
 //     or a typed peer_dead status) marks the shard degraded and routes to
@@ -42,10 +42,9 @@
 //     data_loss, never a stale frozen value.
 //
 // The closed-loop fleet (run_fleet) drives this with Zipfian keys from
-// fibers on the PR 8 progress engine — each client rank keeps `fibers`
-// ops in flight, hot-path reads/writes fully pipelined (awaits), rare slow
-// paths (chain walks, new-cell links, failover) taken blocking — and
-// records per-op-class latencies into trace LatencyHistos.
+// fibers on the progress engine: every get parks on the rounds of the same
+// read the blocking get() runs, writes are taken blocking, and per-op-class
+// latencies land in trace LatencyHistos.
 #pragma once
 
 #include <cstdint>
@@ -236,12 +235,14 @@ class KvStore {
   FleetResult run_fleet(fabric::RankCtx& ctx, const FleetConfig& fc);
 
  private:
+  struct GetOp;
   struct ClientFiber;
-  friend struct ClientFiber;
   struct DrainFiber;
-  friend struct DrainFiber;
   struct ScrubFiber;
-  friend struct ScrubFiber;
+
+  // Cell {key, version, value(, next)}: top cells 24 B, overflow cells 32 B.
+  static constexpr std::size_t kVerOff = 8;
+  static constexpr std::size_t kValOff = 16;
 
   // Window layout: [generation | pad | routing table][bank 0: primary
   // regions][bank 1: replica regions][bank 2: spare regions]. Every rank
@@ -304,10 +305,6 @@ class KvStore {
   // Typed-status AMO helpers (request-based, so faults never raise).
   rdma::OpStatus wait_req(core::RmaRequest& req);
   rdma::OpStatus amo_read(int t, std::size_t off, std::uint64_t* v);
-  /// Two AMO reads issued back to back, awaited together: the generation
-  /// check overlaps the epoch check, costing no extra round trip.
-  rdma::OpStatus amo_read2(int t1, std::size_t off1, std::uint64_t* v1,
-                           int t2, std::size_t off2, std::uint64_t* v2);
   rdma::OpStatus amo_cas(int t, std::size_t off, std::uint64_t expect,
                          std::uint64_t desired, std::uint64_t* prev);
   rdma::OpStatus amo_add(int t, std::size_t off, std::uint64_t add);
@@ -316,20 +313,39 @@ class KvStore {
   /// Locates key's cell in the region: *cell_off = byte offset of its
   /// {key, version, value} words, 0 if absent. `claim` makes it claim a
   /// cell for the key (top slot, tombstone reclaim, or fresh overflow
-  /// cell); *fresh_insert reports that the cell was newly linked with the
-  /// value already published (no seqlock update needed).
+  /// cell); *published reports that the claim already published `value`
+  /// (a freshly linked cell or a reclaimed tombstone), so only the epoch
+  /// bump remains.
   rdma::OpStatus locate(int t, const BucketLayout& l, std::uint64_t key,
                         bool claim, std::uint64_t value,
-                        std::size_t* cell_off, bool* fresh_insert);
+                        std::size_t* cell_off, bool* published);
+  /// Seqlock lock: CAS the cell's version even -> odd. *ver is the even
+  /// version it held; release by writing *ver + 2.
+  rdma::OpStatus lock_cell(int t, std::size_t cell_off, std::uint64_t* ver);
+  /// Tombstone reclaim under the seqlock: lock, check the key word is
+  /// still the tombstone, write `value`, then `key`, release. *won is
+  /// false when a different key reclaimed the cell first.
+  rdma::OpStatus reclaim_cell(int t, std::size_t cell_off, std::uint64_t key,
+                              std::uint64_t value, bool* won);
   /// Seqlock write of `value` into the located cell + epoch bump.
   rdma::OpStatus seq_write(int t, int shard, bool replica,
                            std::size_t cell_off, std::uint64_t value);
-  /// Seqlock read: *found/*value; retries odd/changed versions.
-  rdma::OpStatus seq_read(int t, std::size_t cell_off, std::uint64_t key,
-                          std::uint64_t* value, bool* found);
-  /// Full uncached read from one region (locate + seq_read).
-  rdma::OpStatus read_region(int t, const BucketLayout& l, std::uint64_t key,
-                             std::uint64_t* value, bool* found);
+
+  /// A cell's words as one rget returns them (`next`: chain hops only).
+  struct CellWords {
+    std::uint64_t key = 0, ver = 0, val = 0, next = 0;
+  };
+  /// Issues the one-rget read of the cell at `cell_off`.
+  core::RmaRequest rget_cell(int t, std::size_t cell_off, CellWords* c,
+                             bool with_next);
+  /// Accepts a snapshot v1 -> rget -> v2 whose rounds did not overlap:
+  /// valid whatever order the NIC read the rget's words in.
+  static bool snapshot_ok(std::uint64_t v1, const CellWords& c,
+                          std::uint64_t v2) {
+    return (v1 & 1) == 0 && v1 == v2 && c.ver == v1;
+  }
+  /// put/erase: primary, then the replica; failover on a dead owner.
+  rdma::OpStatus write(std::uint64_t key, std::uint64_t value, bool is_erase);
   /// put/erase applied to one region (primary or replica copy).
   rdma::OpStatus write_region(int t, int shard, bool replica,
                               std::uint64_t key, std::uint64_t value,

@@ -35,10 +35,6 @@ namespace fompi::kv {
 
 namespace {
 
-// Cell word offsets, mirrored from kv.cpp (one seqlock protocol, two TUs).
-constexpr std::size_t kVerOff = 8;
-constexpr std::size_t kValOff = 16;
-
 /// One planned re-replication: copy `src`'s (usually frozen) region into
 /// the spare-bank region `dst`, then publish `word` as the shard's routing
 /// entry. `status` is filled by the drain fiber.
@@ -135,9 +131,9 @@ struct KvStore::ScrubFiber final : fabric::progress::Fiber {
                        : rl.off_table(i);
       ++res->cells;
       count(Op::kv_scrub_cell);
-      // Seqlock snapshot of BOTH sides, pipelined pairwise: versions,
-      // then key+value words, then versions again. All reads, so they
-      // succeed against frozen images too.
+      // Seqlock snapshot of BOTH sides, pipelined pairwise: versions, one
+      // cell rget per copy, versions again. All reads, so they succeed
+      // against frozen images too.
       qa = kv.win_.rfetch_and_op(nullptr, &pv1, Elem::u64, RedOp::no_op,
                                  prim.rank, poff + kVerOff);
       qb = kv.win_.rfetch_and_op(nullptr, &rv1, Elem::u64, RedOp::no_op,
@@ -153,26 +149,14 @@ struct KvStore::ScrubFiber final : fabric::progress::Fiber {
         ++res->skipped;  // write in progress: the writer will converge it
         continue;
       }
-      qa = kv.win_.rfetch_and_op(nullptr, &pk, Elem::u64, RedOp::no_op,
-                                 prim.rank, poff);
-      qb = kv.win_.rfetch_and_op(nullptr, &pval, Elem::u64, RedOp::no_op,
-                                 prim.rank, poff + kValOff);
-      qc = kv.win_.rfetch_and_op(nullptr, &rk, Elem::u64, RedOp::no_op,
-                                 repl.rank, roff);
-      qd = kv.win_.rfetch_and_op(nullptr, &rval, Elem::u64, RedOp::no_op,
-                                 repl.rank, roff + kValOff);
+      qa = kv.rget_cell(prim.rank, poff, &pc, /*with_next=*/false);
+      qb = kv.rget_cell(repl.rank, roff, &rc, /*with_next=*/false);
       FOMPI_FIBER_AWAIT(s, qa.handles()[0]);
       if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
       FOMPI_FIBER_AWAIT(s, qb.handles()[0]);
       if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      FOMPI_FIBER_AWAIT(s, qc.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      FOMPI_FIBER_AWAIT(s, qd.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
       qa.dismiss();
       qb.dismiss();
-      qc.dismiss();
-      qd.dismiss();
       if (res->status != rdma::OpStatus::ok) return finish();
       qa = kv.win_.rfetch_and_op(nullptr, &pv2, Elem::u64, RedOp::no_op,
                                  prim.rank, poff + kVerOff);
@@ -185,12 +169,12 @@ struct KvStore::ScrubFiber final : fabric::progress::Fiber {
       qa.dismiss();
       qb.dismiss();
       if (res->status != rdma::OpStatus::ok) return finish();
-      if (pv1 != pv2 || rv1 != rv2) {
+      if (!snapshot_ok(pv1, pc, pv2) || !snapshot_ok(rv1, rc, rv2)) {
         ++res->skipped;  // torn snapshot: racing writer owns the cell
         continue;
       }
-      if (pk == rk && pval == rval) continue;  // converged
-      if (pk != rk && heap_cell) {
+      if (pc.key == rc.key && pc.val == rc.val) continue;  // converged
+      if (pc.key != rc.key && heap_cell) {
         // Heap cells with different keys are STRUCTURAL chain divergence
         // (the two regions allocated overflow cells in different orders);
         // copying one over the other would orphan a key under the wrong
@@ -201,11 +185,11 @@ struct KvStore::ScrubFiber final : fabric::progress::Fiber {
       }
       // Version winner; key conflicts on a top slot go to the primary
       // (the authoritative region for reads).
-      to_repl = (pk != rk) ? true : (rv1 > pv1 ? false : true);
+      to_repl = (pc.key != rc.key) ? true : (rv1 > pv1 ? false : true);
       {
         const auto st =
-            to_repl ? kv.repair_cell(repl, roff, rv1, pk, pval, pv1)
-                    : kv.repair_cell(prim, poff, pv1, rk, rval, rv1);
+            to_repl ? kv.repair_cell(repl, roff, rv1, pc.key, pc.val, pv1)
+                    : kv.repair_cell(prim, poff, pv1, rc.key, rc.val, rv1);
         if (st == rdma::OpStatus::ok) {
           ++res->repairs;
           count(Op::kv_scrub_repair);
@@ -235,8 +219,8 @@ struct KvStore::ScrubFiber final : fabric::progress::Fiber {
   std::size_t cells = 0, i = 0, poff = 0, roff = 0;
   bool heap_cell = false, to_repl = false;
   std::uint64_t pv1 = 0, pv2 = 0, rv1 = 0, rv2 = 0;
-  std::uint64_t pk = 0, rk = 0, pval = 0, rval = 0;
-  core::RmaRequest qa, qb, qc, qd;
+  CellWords pc, rc;
+  core::RmaRequest qa, qb;
 };
 
 // --- cell repair -------------------------------------------------------------

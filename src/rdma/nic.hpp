@@ -506,12 +506,15 @@ class Domain {
     return !dead_[static_cast<std::size_t>(rank)].load(
         std::memory_order_acquire);
   }
-  /// Marks `rank` dead and advances the death epoch (idempotent).
+  /// Marks `rank` dead and advances the death epoch (idempotent; only the
+  /// dying rank's own thread calls it). The epoch moves BEFORE the flag is
+  /// published: checks gated on death_epoch() != 0 must never miss a death
+  /// that alive() already reports.
   void mark_dead(int rank) noexcept {
-    if (!dead_[static_cast<std::size_t>(rank)].exchange(
-            true, std::memory_order_acq_rel)) {
-      death_epoch_.fetch_add(1, std::memory_order_acq_rel);
-    }
+    auto& dead = dead_[static_cast<std::size_t>(rank)];
+    if (dead.load(std::memory_order_acquire)) return;
+    death_epoch_.fetch_add(1, std::memory_order_acq_rel);
+    dead.store(true, std::memory_order_release);
   }
   /// Number of rank deaths so far; liveness-aware spin loops re-probe
   /// their peer only when this moves (cheap monotonic epoch).

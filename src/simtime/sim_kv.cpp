@@ -5,16 +5,26 @@
 
 namespace fompi::sim {
 
+namespace {
+
+// NIC-served ops of the uncached read: {epoch, v1}, the cell rget, v2.
+constexpr int kUncachedOps = 4;
+
+}  // namespace
+
+double kv_uncached_read_us(const KvParams& p) {
+  return (p.amo_us + p.inject_us) + p.cell_get_us + p.amo_us;
+}
+
 double kv_read_us(const KvParams& p, bool degraded) {
   const double cached = p.cached_amos * p.amo_us;
-  const double uncached = p.uncached_amos * p.amo_us;
   const double h = degraded ? 0.0 : p.hit_rate;  // degraded bypasses cache
-  return h * cached + (1.0 - h) * uncached;
+  return h * cached + (1.0 - h) * kv_uncached_read_us(p);
 }
 
 double kv_read_p99_us(const KvParams& p, bool degraded) {
   const double miss_mass = degraded ? 1.0 : 1.0 - p.hit_rate;
-  if (miss_mass >= 0.01) return p.uncached_amos * p.amo_us;
+  if (miss_mass >= 0.01) return kv_uncached_read_us(p);
   return p.cached_amos * p.amo_us;
 }
 
@@ -38,15 +48,15 @@ double simulate_kv_throughput_mops(int clients, const KvParams& p) {
                             (1.0 - p.read_ratio) * kv_put_us(p);
   const double offered = clients * p.fibers / mean_op_us;  // Mops/s
 
-  // The hottest shard's NIC serves its share of every op's AMOs; hot-key
-  // replica reads split the read load across two regions.
+  // The hottest shard's NIC serves its share of every op's remote ops;
+  // hot-key replica reads split the read load across two regions.
   double phi = kv_hot_shard_mass(p);
   if (p.replicate) phi *= 1.0 - p.read_ratio / 2.0;
-  const double amos_per_op =
-      p.read_ratio * ((1.0 - p.hit_rate) * p.uncached_amos +
+  const double ops_per_op =
+      p.read_ratio * ((1.0 - p.hit_rate) * kUncachedOps +
                       p.hit_rate * p.cached_amos) +
       (1.0 - p.read_ratio) * p.put_amos;
-  const double serve_mops = 1.0 / (p.amo_service_us * amos_per_op);
+  const double serve_mops = 1.0 / (p.amo_service_us * ops_per_op);
   const double hot_cap = serve_mops / phi;
 
   return std::min(offered, hot_cap);

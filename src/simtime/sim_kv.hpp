@@ -16,11 +16,15 @@ struct KvParams {
   /// One inter-node AMO round trip (Gemini FADD/CSWAP latency; matches the
   /// inter_op latency the figure benches charge).
   double amo_us = 2.4;
+  /// Origin injection overhead per op (Gemini 416 ns, Sec 3.1.2): the
+  /// second op of an overlapped round leaves this much after the first.
+  double inject_us = 0.416;
+  /// One 24-byte cell rget: P_get = 1.9 us + 0.17 ns/B plus the FMA
+  /// per-64-byte chunk cost (the src/rdma NetworkModel get_latency_ns(24)
+  /// expressed in the units used here).
+  double cell_get_us = 1.9 + 24 * 0.17e-3 + 10.0 * 24 / 64 * 1e-3;
   /// Remote words touched by a cache-validated hit: the shard epoch check.
   int cached_amos = 1;
-  /// Remote words of the full versioned read: epoch + top key + seqlock
-  /// {v1, key, value, v2} snapshot.
-  int uncached_amos = 6;
   /// Remote ops of a put against one region: top CAS + lock CAS + value
   /// write + release + epoch bump (+ the located read).
   int put_amos = 6;
@@ -45,6 +49,11 @@ struct KvParams {
   /// mean).
   int scrub_amos = 8;
 };
+
+/// Modeled uncached get (us), a top-cell snapshot in three rounds: the
+/// {epoch, v1} AMO pair (amo_us + inject_us), the cell rget
+/// (cell_get_us), the v2 AMO (amo_us).
+double kv_uncached_read_us(const KvParams& p);
 
 /// Mean modeled get latency (us). Degraded mode (owner dead, replica
 /// serving) bypasses the client cache, so every read pays the full

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 
@@ -17,11 +18,19 @@ using fabric::RankCtx;
 
 namespace {
 
+// gtest prints this parameter byte by byte into the test names, so the
+// struct spells its padding out and zeroes it: implicit padding carried
+// whatever was on the stack, and the names changed from run to run.
 struct ModeCase {
+  ModeCase(rdma::Delivery d, int rpn, bool s)
+      : delivery(d), ranks_per_node(rpn), shuffle(s) {}
   rdma::Delivery delivery;
+  std::uint8_t pad0[3] = {};
   int ranks_per_node;
   bool shuffle;
+  std::uint8_t pad1[3] = {};
 };
+static_assert(sizeof(ModeCase) == 12, "ModeCase must have no implicit padding");
 
 class CommModes : public ::testing::TestWithParam<ModeCase> {};
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/window.hpp"
+#include "kv/kv.hpp"
 
 using namespace fompi;
 using core::Win;
@@ -171,4 +172,100 @@ TEST(InstrBounds, PscwMessageCountsMatchPaper) {
     EXPECT_EQ(d_wait.get(Op::transport_put), 0u);
     win.free();
   }, opts);
+}
+
+// --- KV get budgets (DESIGN.md §12) ------------------------------------------
+//
+// One issuer (rank 1) against a single-shard store owned by rank 0, on the
+// inter-node path: every count below is an exact function of the protocol.
+// A cold get is a cell snapshot — {epoch, v1} overlapped, one cell rget,
+// v2 — and a chain walk reads each hop's {key, next} with one rget.
+
+namespace {
+
+struct KvGetCost {
+  std::uint64_t amos = 0, gets = 0;
+};
+
+/// Runs `body(store)` on rank 1 of a 2-rank fabric holding a one-shard
+/// store whose owner is rank 0.
+void with_remote_store(kv::KvConfig cfg,
+                       const std::function<void(kv::KvStore&)>& body) {
+  cfg.shards = 1;  // shard 0 lives on rank 0
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
+    kv::KvStore store(ctx, cfg);
+    if (ctx.rank() == 1) {
+      ASSERT_EQ(store.owner_of(0), 0);
+      body(store);
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  }, opts);
+}
+
+/// Op cost of one get of `key`, asserting what it returns.
+KvGetCost get_cost(kv::KvStore& store, std::uint64_t key, bool expect_found,
+                   std::uint64_t expect_value = 0) {
+  std::uint64_t v = 0;
+  bool found = !expect_found;
+  const auto d = delta_of([&] {
+    EXPECT_EQ(store.get(key, &v, &found), rdma::OpStatus::ok);
+  });
+  EXPECT_EQ(found, expect_found) << "key " << key;
+  if (expect_found) {
+    EXPECT_EQ(v, expect_value) << "key " << key;
+  }
+  return {d.get(Op::transport_amo), d.get(Op::transport_get)};
+}
+
+}  // namespace
+
+TEST(InstrBounds, KvWarmHitIsOneAmo) {
+  with_remote_store({}, [](kv::KvStore& store) {
+    ASSERT_EQ(store.put(7, 70), rdma::OpStatus::ok);
+    get_cost(store, 7, true, 70);  // fills the cache
+    const auto c = get_cost(store, 7, true, 70);
+    EXPECT_EQ(c.amos, 1u) << "a warm hit is the epoch check alone";
+    EXPECT_EQ(c.gets, 0u);
+  });
+}
+
+TEST(InstrBounds, KvTopCellMissIsThreeAmosAndOneGet) {
+  with_remote_store({}, [](kv::KvStore& store) {
+    ASSERT_EQ(store.put(7, 70), rdma::OpStatus::ok);
+    const auto c = get_cost(store, 7, true, 70);
+    EXPECT_EQ(c.amos, 3u) << "{epoch, v1} + v2";
+    EXPECT_EQ(c.gets, 1u) << "one {key, version, value} rget";
+  });
+}
+
+TEST(InstrBounds, KvUnclaimedSlotMissIsTwoAmosAndOneGet) {
+  with_remote_store({}, [](kv::KvStore& store) {
+    const auto c = get_cost(store, 7, false);  // empty store
+    EXPECT_EQ(c.amos, 2u) << "{epoch, v1}, no v2 for an empty top cell";
+    EXPECT_EQ(c.gets, 1u);
+  });
+}
+
+TEST(InstrBounds, KvChainKeyIsFiveAmosAndOneGetPerHopPlusTwo) {
+  kv::KvConfig cfg;
+  cfg.table_slots = 1;  // every key collides on the one top slot
+  cfg.heap_slots = 16;
+  with_remote_store(cfg, [](kv::KvStore& store) {
+    // Key 1 takes the top cell; later keys link at the chain head, so key
+    // 5 is one hop down and key 2 four hops.
+    for (std::uint64_t k = 1; k <= 5; ++k) {
+      ASSERT_EQ(store.put(k, k * 10), rdma::OpStatus::ok);
+    }
+    for (std::uint64_t hops = 1; hops <= 4; ++hops) {
+      const std::uint64_t key = 6 - hops;
+      const auto c = get_cost(store, key, true, key * 10);
+      EXPECT_EQ(c.amos, 5u) << "{epoch, v1} + head + snapshot v1/v2, "
+                            << hops << " hops";
+      EXPECT_EQ(c.gets, hops + 2) << "top + one per hop + snapshot, "
+                                  << hops << " hops";
+    }
+  });
 }

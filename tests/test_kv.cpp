@@ -261,10 +261,12 @@ TEST(Zipf, MassSumsToOne) {
 
 namespace {
 
-/// Reader loops versioned gets of key `k1` while the writer churns the
-/// same single-slot shard: overwrites, erases, and inserts of a colliding
-/// key `k2` that reclaims k1's tombstoned cells. Every successful get must
-/// return a value tagged with k1 — never k2's, never torn.
+/// Reader loops versioned gets of keys `kA` and `kB` while the writer
+/// churns the same single-slot shard: overwrites and erases of kA, and
+/// inserts of the colliding kB that reclaim kA's tombstoned cells. Every
+/// successful get must return a value tagged with the key asked for —
+/// never the other key's (a reclaim publishing kB beside kA's value),
+/// never torn.
 void seqlock_round(std::uint64_t seed) {
   constexpr std::uint64_t kA = 5, kB = 9;
   KvConfig cfg;
@@ -290,12 +292,14 @@ void seqlock_round(std::uint64_t seed) {
       }
     } else {
       for (int r = 0; r < 400; ++r) {
-        std::uint64_t v = 0;
-        bool found = false;
-        ASSERT_EQ(store.get(kA, &v, &found), OpStatus::ok);
-        if (found) {
-          EXPECT_EQ(v / 1000000, kA)
-              << "read returned a foreign or torn value " << v;
+        for (const std::uint64_t k : {kA, kB}) {
+          std::uint64_t v = 0;
+          bool found = false;
+          ASSERT_EQ(store.get(k, &v, &found), OpStatus::ok);
+          if (found) {
+            EXPECT_EQ(v / 1000000, k)
+                << "get(" << k << ") returned a foreign or torn value " << v;
+          }
         }
       }
     }
