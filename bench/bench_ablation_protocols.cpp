@@ -75,8 +75,8 @@ int main() {
     while (pm.pscw_beats_fence(p, k) && k < 10000) ++k;
     std::printf("%-10d%18d\n", p, k - 1);
   }
-  std::printf("PSCW pays off below k*; the fence's 2.9us*log2(p) wins "
-              "above it.\n");
+  std::printf("PSCW pays off below k*; the fence's %.1fus*log2(p) wins "
+              "above it.\n", pm.fence_per_log_us);
 
   header("(c) system noise on the PSCW ring (DES, p sweep)");
   std::printf("%-10s%16s%16s\n", "p", "quiet [us]", "noisy [us]");

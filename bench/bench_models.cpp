@@ -75,7 +75,7 @@ int main() {
         win.free();
         return us;
       }));
-  print_affine("P_put", put_fit, pm.put.base_us, pm.put.per_byte_ns);
+  print_affine("P_put", put_fit, pm.put().base_us, pm.put().per_byte_ns);
 
   auto get_fit = perf::fit_affine(
       sweep(sizes, [](fabric::RankCtx& ctx, std::size_t s) {
@@ -97,7 +97,7 @@ int main() {
         win.free();
         return us;
       }));
-  print_affine("P_get", get_fit, pm.get.base_us, pm.get.per_byte_ns);
+  print_affine("P_get", get_fit, pm.get().base_us, pm.get().per_byte_ns);
 
   // P_acc (sum, accelerated) and P_acc (min, fallback) over byte counts.
   const std::vector<std::size_t> acc_sizes{8, 32, 128, 512, 2048};
@@ -121,8 +121,8 @@ int main() {
         win.free();
         return us;
       }));
-  print_affine("P_acc,sum", acc_fit, pm.acc_sum.base_us,
-               pm.acc_sum.per_byte_ns);
+  print_affine("P_acc,sum", acc_fit, pm.acc_sum().base_us,
+               pm.acc_sum().per_byte_ns);
 
   // The fallback path is latency-bound until the get+put bandwidth term
   // shows; fit it over larger spans, like the paper's Fig 6a tail.
@@ -171,7 +171,7 @@ int main() {
                 win.free();
                 return us;
               }),
-              pm.cas_us);
+              pm.cas_us());
   print_const("P_lock,excl", const_cost([](fabric::RankCtx& ctx) {
                 core::Win win = core::Win::allocate(ctx, 64);
                 double us = 0;

@@ -22,8 +22,9 @@
 #      notify plane, and the KV service's seqlock reads under a
 #      concurrent writer plus its kill/failover path and the full
 #      self-healing recovery/scrub/reconfiguration suite)
-#   3b. AddressSanitizer build + the KV suite (gets rget cell snapshots
-#      into stack and fiber buffers)
+#   3b. AddressSanitizer build + the whole ctest suite, three times (the
+#      KV gets rget cell snapshots into stack and fiber buffers; the
+#      repeats catch schedule-dependent heap misuse a single run misses)
 #   4. Benchmark smoke run (bench_fastpath + bench_datatype +
 #      bench_throughput + bench_collectives + bench_overlap + bench_kv JSON
 #      emission and two figure benches; the throughput bench self-gates
@@ -86,8 +87,10 @@ cmake --build build-tsan --target \
 ./build-tsan/tests/test_kv
 
 cmake -B build-asan -G Ninja -DFOMPI_SANITIZE=address
-cmake --build build-asan --target test_kv
-./build-asan/tests/test_kv
+cmake --build build-asan
+for run in 1 2 3; do
+  ctest --test-dir build-asan --output-on-failure
+done
 
 scripts/bench_smoke.sh
 
@@ -107,7 +110,7 @@ EOF
 # every scheduled site lands inside the warmup, so its timed loop must (a)
 # record zero fault counters and (b) cost about the same as the plain
 # blocking put8 (generous 1.5x bound: both numbers are ~17-19 ns and share
-# the scheduler noise of the one-core host).
+# the scheduler noise of the shared 4-core host).
 python3 - <<'EOF'
 import json, sys
 cases = {c["name"]: c for c in json.load(open("BENCH_fastpath.json"))["cases"]}
@@ -125,7 +128,7 @@ EOF
 # Batch fast-path gate. Enabling throughput mode (4 channels + adaptive
 # thresholds) with no open batch must leave the blocking put8 issue path
 # within 1.25x of the plain baseline and ring zero coalesced doorbells.
-# Both samples are ~17 ns on this one-core host and single runs can be
+# Both samples are ~17 ns on the shared 4-core host and single runs can be
 # scheduler-noise outliers of 3x or more, so on a miss we regenerate the
 # whole JSON and re-check (up to 3 attempts) before failing.
 batch_gate() {

@@ -40,7 +40,9 @@ void Mpi22Win::accumulate(const void* origin, std::size_t count, Elem e,
 void Mpi22Win::fence() {
   // Worse-scaling barrier: extra per-round software cost.
   const int p = std::max(2, win_.nranks());
-  charge_us((model_.mpi22_fence_per_log_us - 2.9) * std::log2(p));
+  charge_us((model_.mpi22_fence_per_log_us -
+             perf::PaperModel{}.fence_per_log_us) *
+            std::log2(p));
   win_.fence();
 }
 

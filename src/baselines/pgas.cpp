@@ -11,7 +11,8 @@ PgasConfig make_upc_like() {
   const perf::BaselineModel m;
   PgasConfig cfg;
   cfg.per_op_extra_us = m.upc_extra_us;
-  cfg.barrier_round_factor = m.upc_barrier_per_log_us / 2.9;
+  cfg.barrier_round_factor =
+      m.upc_barrier_per_log_us / perf::PaperModel{}.fence_per_log_us;
   return cfg;
 }
 
@@ -19,7 +20,8 @@ PgasConfig make_caf_like() {
   const perf::BaselineModel m;
   PgasConfig cfg;
   cfg.per_op_extra_us = m.caf_extra_us;
-  cfg.barrier_round_factor = m.caf_sync_all_per_log_us / 2.9;
+  cfg.barrier_round_factor =
+      m.caf_sync_all_per_log_us / perf::PaperModel{}.fence_per_log_us;
   return cfg;
 }
 

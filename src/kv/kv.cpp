@@ -579,13 +579,11 @@ rdma::OpStatus KvStore::data_loss_on(int /*shard*/) {
 
 rdma::OpStatus KvStore::put(std::uint64_t key, std::uint64_t value) {
   require_user_key(key);
-  ++stats_.puts;
   return write(key, value, /*is_erase=*/false);
 }
 
 rdma::OpStatus KvStore::erase(std::uint64_t key) {
   require_user_key(key);
-  ++stats_.erases;
   return write(key, 0, /*is_erase=*/true);
 }
 
@@ -602,7 +600,6 @@ rdma::OpStatus KvStore::write(std::uint64_t key, std::uint64_t value,
   }
   auto st = write_region(owner_of(shard), shard, false, key, value, is_erase);
   if (st == rdma::OpStatus::peer_dead) {
-    ++stats_.peer_dead_ops;
     fail_over(shard);
     const int rep = replica_of(shard);
     if (!win_.peer_alive(rep)) return data_loss_on(shard);
@@ -612,8 +609,7 @@ rdma::OpStatus KvStore::write(std::uint64_t key, std::uint64_t value,
   const auto rst =
       write_region(replica_of(shard), shard, true, key, value, is_erase);
   if (rst == rdma::OpStatus::peer_dead) {
-    ++stats_.peer_dead_ops;  // primary holds the write: absorbed
-    return rdma::OpStatus::ok;
+    return rdma::OpStatus::ok;  // primary holds the write: absorbed
   }
   return rst;
 }
@@ -639,7 +635,6 @@ struct KvStore::GetOp {
 
   void start(std::uint64_t k) {
     require_user_key(k);
-    ++kv.stats_.gets;
     key = k;
     phase = Phase::route;
     status = rdma::OpStatus::ok;
@@ -749,7 +744,6 @@ struct KvStore::GetOp {
     return false;
   }
   bool pause() {
-    ++kv.stats_.read_retries;
     count(Op::kv_read_retry);
     n = 0;
     backoff = true;
@@ -810,7 +804,6 @@ struct KvStore::GetOp {
 
   bool fail(rdma::OpStatus st) {
     if (st != rdma::OpStatus::peer_dead || deg) return finish(st);
-    ++kv.stats_.peer_dead_ops;
     kv.fail_over(shard);
     return open(/*replica=*/true);
   }

@@ -83,14 +83,12 @@ struct KvConfig {
   int spare_factor = 2;
 };
 
-/// Per-client (per-rank) operation statistics; mirrored into the global
-/// Op counters (kv_cache_hit / kv_cache_miss / kv_read_retry / kv_failover).
+/// Per-client (per-rank) operation statistics; the cache and failover
+/// counts are mirrored into the global Op counters (kv_cache_hit /
+/// kv_cache_miss / kv_failover). Seqlock rereads are Op::kv_read_retry only.
 struct KvStats {
-  std::uint64_t gets = 0, puts = 0, erases = 0;
   std::uint64_t cache_hits = 0, cache_misses = 0;
-  std::uint64_t read_retries = 0;   ///< seqlock validate/locked rereads
   std::uint64_t failovers = 0;      ///< shard reroutes to the replica
-  std::uint64_t peer_dead_ops = 0;  ///< typed peer_dead statuses absorbed
   std::uint64_t retry_routing = 0;  ///< ops retired typed retry_routing
   std::uint64_t data_loss_ops = 0;  ///< ops retired typed data_loss
 };

@@ -20,6 +20,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "rdma/network_model.hpp"
+
 namespace fompi::perf {
 
 /// One affine cost function: latency_us(s) = base_us + per_byte_ns * s / 1e3.
@@ -32,13 +34,25 @@ struct Affine {
   double ns(std::size_t bytes) const noexcept { return us(bytes) * 1e3; }
 };
 
-/// The paper's measured coefficients (Blue Waters, Cray XE6, Gemini).
+/// The paper's measured coefficients (Blue Waters, Cray XE6, Gemini). The
+/// network terms — P_put, P_get, P_CAS and the AMO base of P_acc,sum — are
+/// read from rdma::NetworkModel, the one owner of the Gemini coefficients;
+/// this struct owns only the synchronization and accumulate costs.
 struct PaperModel {
-  Affine put{1.0, 0.16};
-  Affine get{1.9, 0.17};
-  Affine acc_sum{2.4, 28.0};
+  Affine put() const noexcept {
+    const rdma::NetworkModel net;
+    return {net.put_base_ns / 1e3, net.put_byte_ns};
+  }
+  Affine get() const noexcept {
+    const rdma::NetworkModel net;
+    return {net.get_base_ns / 1e3, net.get_byte_ns};
+  }
+  /// P_acc,sum: 28 ns/B on top of one AMO round trip (P_CAS).
+  Affine acc_sum() const noexcept { return {cas_us(), 28.0}; }
+  double cas_us() const noexcept {
+    return rdma::NetworkModel{}.amo_latency_ns() / 1e3;
+  }
   Affine acc_min{7.3, 0.8};
-  double cas_us = 2.4;
   double fence_per_log_us = 2.9;
   double post_per_neighbor_us = 0.35;
   double complete_per_neighbor_us = 0.35;
@@ -50,9 +64,6 @@ struct PaperModel {
   double unlock_us = 0.4;
   double flush_us = 0.076;
   double sync_us = 0.017;
-  /// Message injection overheads (Sec 3.1.2).
-  double inject_inter_us = 0.416;
-  double inject_intra_us = 0.080;
 
   double fence_us(int nprocs) const noexcept {
     return nprocs <= 1 ? 0.0
@@ -73,17 +84,15 @@ struct PaperModel {
 ///
 /// When the remote side of a transfer is one contiguous block, the origin
 /// layout can either be shipped as a vectored NIC op (chained descriptors
-/// behind one doorbell, `chain_ns` per extra fragment) or staged through a
-/// pack/unpack buffer (one contiguous transfer plus a local copy of every
-/// payload byte). Packing wins when fragments are small and numerous; the
-/// vector wins when fragments are few or large. The constants mirror
-/// rdma::NetworkModel::vec_chain_ns plus a memcpy-rate estimate, so the
-/// choice tracks the modeled hardware rather than a fixed fragment-count
-/// threshold.
+/// behind one doorbell, rdma::NetworkModel::chain_ns per extra fragment) or
+/// staged through a pack/unpack buffer (one contiguous transfer plus a local
+/// copy of every payload byte). Packing wins when fragments are small and
+/// numerous; the vector wins when fragments are few or large. The chain
+/// cost is the modeled NIC's own, so the choice tracks the modeled hardware
+/// rather than a fixed fragment-count threshold.
 struct DatatypePathModel {
   enum class Strategy : std::uint8_t { vectored, pack };
 
-  double chain_ns = 45.0;        ///< per chained fragment beyond the first
   double pack_byte_ns = 0.25;    ///< local gather/scatter cost per byte
   double pack_setup_ns = 120.0;  ///< staging-buffer bookkeeping per call
   /// A packed get cannot unpack until the data lands, so it completes the
@@ -92,7 +101,7 @@ struct DatatypePathModel {
   double get_pack_bias = 4.0;
 
   double vectored_ns(std::size_t nfrags) const noexcept {
-    return nfrags > 1 ? chain_ns * static_cast<double>(nfrags - 1) : 0.0;
+    return rdma::NetworkModel{}.chain_latency_ns(nfrags);
   }
   double pack_ns(std::size_t payload_bytes) const noexcept {
     return pack_setup_ns + pack_byte_ns * static_cast<double>(payload_bytes);

@@ -43,11 +43,8 @@ struct NetworkModel {
 
   /// Time from issue until a put of `bytes` is committed in remote memory.
   double put_latency_ns(std::size_t bytes) const noexcept {
-    if (bytes >= bte_threshold)
-      return bte_setup_ns + bte_byte_ns * static_cast<double>(bytes);
-    const double chunks = static_cast<double>(bytes) / fma_chunk_bytes;
-    return put_base_ns + fma_chunk_ns * chunks +
-           put_byte_ns * static_cast<double>(bytes);
+    return bytes >= bte_threshold ? put_bte_cost_ns(bytes)
+                                  : put_fma_cost_ns(bytes);
   }
 
   /// Time from issue until a get of `bytes` has landed in local memory.
@@ -63,61 +60,51 @@ struct NetworkModel {
   /// Remote AMO completion latency (8-byte operand).
   double amo_latency_ns() const noexcept { return amo_base_ns; }
 
-  // --- vectored (chained-descriptor) transfers ----------------------------
-  // Gemini FMA descriptors can be chained behind a single doorbell: a
-  // vectored op pays the base latency once plus a small per-descriptor
-  // chain cost, instead of the full base latency per fragment. This is the
-  // hardware mechanism the datatype path exploits (Sec 2.4).
-  double vec_chain_ns = 45.0;  ///< each chained fragment beyond the first
+  // --- chained descriptors ------------------------------------------------
+  // Gemini FMA descriptors can be chained behind a single doorbell: the
+  // chain pays the base latency and the injection overhead once, plus
+  // chain_ns per extra descriptor, instead of the full base latency per
+  // descriptor. A vectored op chains the fragments of one transfer (the
+  // datatype path, Sec 2.4); a coalesced batch (Nic::batch_begin /
+  // batch_flush or NicConfig.auto_batch) chains independent operations.
+  double chain_ns = 45.0;  ///< each chained descriptor beyond the first
+
+  /// Wire time of the links of an `ndesc`-descriptor chain. Slingshot-class
+  /// NICs (RAMC) expose several independent ordered memory channels; the
+  /// descriptors beyond the first drain round-robin over `channels`, so
+  /// each channel serializes only ceil((n-1)/channels) links.
+  double chain_latency_ns(std::size_t ndesc, int channels = 1) const noexcept {
+    if (ndesc <= 1) return 0.0;
+    const std::size_t ch = channels < 1 ? 1 : static_cast<std::size_t>(channels);
+    const std::size_t links = ndesc - 1;
+    return chain_ns * static_cast<double>((links + ch - 1) / ch);
+  }
 
   /// Completion latency of a vectored put: `nfrags` chained fragments
   /// totalling `total_bytes` behind one doorbell.
   double put_vec_latency_ns(std::size_t nfrags,
                             std::size_t total_bytes) const noexcept {
-    const double chain =
-        nfrags > 1 ? vec_chain_ns * static_cast<double>(nfrags - 1) : 0.0;
-    return put_latency_ns(total_bytes) + chain;
+    return put_latency_ns(total_bytes) + chain_latency_ns(nfrags);
   }
 
   double get_vec_latency_ns(std::size_t nfrags,
                             std::size_t total_bytes) const noexcept {
-    const double chain =
-        nfrags > 1 ? vec_chain_ns * static_cast<double>(nfrags - 1) : 0.0;
-    return get_latency_ns(total_bytes) + chain;
+    return get_latency_ns(total_bytes) + chain_latency_ns(nfrags);
   }
 
   double intra_vec_latency_ns(std::size_t nfrags,
                               std::size_t total_bytes) const noexcept {
-    const double chain =
-        nfrags > 1 ? vec_chain_ns * static_cast<double>(nfrags - 1) : 0.0;
-    return intra_latency_ns(total_bytes) + chain;
+    return intra_latency_ns(total_bytes) + chain_latency_ns(nfrags);
   }
 
   double intra_latency_ns(std::size_t bytes) const noexcept {
     return intra_base_ns + intra_byte_ns * static_cast<double>(bytes);
   }
 
-  // --- throughput mode: batched doorbells and multi-channel striping -------
-  // Coalesced issue (Nic::batch_begin/batch_flush or NicConfig.auto_batch)
-  // chains descriptors behind ONE doorbell, like vectored ops but across
-  // independent operations: the software+doorbell overhead is paid once per
-  // batch and each extra descriptor costs batch_chain_ns on the wire.
-  // Slingshot-class NICs (RAMC) additionally expose several independent
-  // ordered memory channels; a chained batch drains round-robin across
-  // them, and large BTE transfers stripe their payload over all channels at
-  // the cost of one extra per-channel descriptor setup.
-  double batch_chain_ns = 45.0;    ///< per extra descriptor behind a doorbell
+  // --- throughput mode: multi-channel striping ---------------------------
+  // Large BTE transfers stripe their payload over all channels at the cost
+  // of one extra per-channel descriptor setup.
   double stripe_chunk_ns = 120.0;  ///< per extra channel: BTE stripe setup
-
-  /// Wire time of an n-descriptor chained batch: the descriptors beyond the
-  /// first drain round-robin over `channels` independent channels, so each
-  /// channel serializes only ceil((n-1)/channels) chain links.
-  double batch_chain_latency_ns(std::size_t ndesc, int channels) const noexcept {
-    if (ndesc <= 1) return 0.0;
-    const std::size_t ch = channels < 1 ? 1 : static_cast<std::size_t>(channels);
-    const std::size_t links = ndesc - 1;
-    return batch_chain_ns * static_cast<double>((links + ch - 1) / ch);
-  }
 
   /// Put latency with the payload striped round-robin over `channels`; BTE
   /// transfers split their byte stream per channel (setup replicated per

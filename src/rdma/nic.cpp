@@ -351,7 +351,7 @@ void Nic::batch_flush() {
   count(Op::doorbell_ring);
 
   // One doorbell for the whole chain: the injection overhead is charged
-  // once, plus batch_chain_ns per extra descriptor — drained round-robin
+  // once, plus chain_ns per extra descriptor — drained round-robin
   // over the configured channels (per-channel ordering preserved).
   std::uint64_t doorbell_end = 0;
   std::uint64_t doorbell_ns = 0;
@@ -359,7 +359,7 @@ void Nic::batch_flush() {
     const double scale = domain_.config().time_scale;
     const double over =
         inter ? model_.inter_overhead_ns : model_.intra_overhead_ns;
-    const double chain = model_.batch_chain_latency_ns(n, channels_);
+    const double chain = model_.chain_latency_ns(n, channels_);
     doorbell_ns = static_cast<std::uint64_t>((over + chain) * scale);
     doorbell_end = now_ns() + doorbell_ns;
   }
@@ -841,12 +841,10 @@ Handle Nic::issue_vec(int target, const RegionDesc& rd, std::size_t base_off,
       // A vectored op is already one chained doorbell; its payload still
       // stripes over the channels when it crosses into BTE territory.
       overhead_ns = m.inter_overhead_ns;
-      const double chain =
-          nfrags > 1 ? m.vec_chain_ns * static_cast<double>(nfrags - 1) : 0.0;
       latency_ns = (kind == PendingOp::Kind::put
                         ? m.put_striped_latency_ns(total, channels_)
                         : m.get_striped_latency_ns(total, channels_)) +
-                   chain;
+                   m.chain_latency_ns(nfrags);
       if (channels_ > 1 && total >= m.bte_threshold) {
         count(Op::channel_stripe);
         trace::emit(trace::EvClass::channel, trace::EvPhase::issue, target,

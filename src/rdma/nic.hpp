@@ -173,7 +173,7 @@ class Nic {
   /// bypass the batch (BTE transfers own their doorbell).
   void batch_begin();
   /// Rings the doorbell for the open batch (explicit or auto), charging
-  /// the injection overhead once plus batch_chain_ns per extra descriptor
+  /// the injection overhead once plus chain_ns per extra descriptor
   /// (divided round-robin across the configured channels), and assigns
   /// every batched op its modeled completion time. No-op when no batch is
   /// open. Also invoked implicitly by gsync and by test/wait on a

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "rdma/network_model.hpp"
+
 namespace fompi::sim {
 
 namespace {
@@ -10,6 +12,9 @@ double log2d(double x) { return std::log2(std::max(2.0, x)); }
 }  // namespace
 
 HashtableSeries simulate_hashtable(int p, const HashtableParams& prm) {
+  const rdma::NetworkModel net;
+  const double intra_op_us = net.intra_overhead_ns / 1e3;
+  const double inter_op_us = net.inter_overhead_ns / 1e3;
   HashtableSeries out{};
   // Fraction of inserts that stay on-node under uniform random keys.
   const double intra_frac =
@@ -21,7 +26,7 @@ HashtableSeries simulate_hashtable(int p, const HashtableParams& prm) {
   // RMA transports: pipelined AMOs, injection limited.
   auto rma_rate = [&](double extra_us) {
     const double op_us =
-        (intra_frac * prm.intra_op_us + (1 - intra_frac) * prm.inter_op_us +
+        (intra_frac * intra_op_us + (1 - intra_frac) * inter_op_us +
          extra_us) *
         ops_per_insert;
     return static_cast<double>(p) / op_us * 1e6 / 1e9;  // G inserts/s
@@ -36,9 +41,8 @@ HashtableSeries simulate_hashtable(int p, const HashtableParams& prm) {
   const double congestion =
       1.0 + prm.mpi1_congestion_c * log2d(p) * log2d(p);
   const double insert_cost_us =
-      intra_frac * (prm.intra_op_us + prm.mpi1_service_us * 0.4) +
-      (1 - intra_frac) *
-          (prm.inter_op_us + prm.mpi1_service_us * congestion);
+      intra_frac * (intra_op_us + prm.mpi1_service_us * 0.4) +
+      (1 - intra_frac) * (inter_op_us + prm.mpi1_service_us * congestion);
   const double batch_us = prm.inserts_per_rank * insert_cost_us +
                           static_cast<double>(p) * prm.mpi1_notify_us;
   out.mpi1_ginserts = static_cast<double>(p) * prm.inserts_per_rank /
@@ -71,25 +75,29 @@ FftSeries simulate_fft(int p, const FftParams& prm) {
 }
 
 double simulate_msgrate_mops(const MsgRateParams& prm) {
+  const rdma::NetworkModel net;
   const double b = std::max(1, prm.batch);
   const double ch = std::max(1, prm.channels);
   const double chains = std::ceil((b - 1.0) / ch);
   const double batch_ns =
-      prm.doorbell_overhead_ns + prm.sw_issue_ns * b + prm.chain_ns * chains;
+      net.inter_overhead_ns + prm.sw_issue_ns * b + net.chain_ns * chains;
   return b / batch_ns * 1e3;  // ns per batch -> Mops/s
 }
 
 MilcSeries simulate_milc(int p, const MilcParams& prm) {
+  const rdma::NetworkModel net;
+  const double overhead_us = net.inter_overhead_ns / 1e3;
+  const double msg_latency_us = net.put_base_ns / 1e3;
   const double comp_us = prm.local_sites * prm.flops_per_site /
                          (prm.flops_per_core_gfs * 1e9) * 1e6;
   // Halo exchange: 8 directions, message size fixed under weak scaling.
-  const double halo_bw_us = prm.halo_bytes * 0.16e-3;  // 0.16 ns/B
-  const double rma_halo_us =
-      8.0 * (prm.overhead_us + halo_bw_us) + prm.msg_latency_us +
-      2.4;  // flag AMO + flush
+  const double halo_bw_us = prm.halo_bytes * net.put_byte_ns / 1e3;
+  const double rma_halo_us = 8.0 * (overhead_us + halo_bw_us) +
+                             msg_latency_us +
+                             net.amo_latency_ns() / 1e3;  // flag AMO + flush
   const double mpi1_halo_us =
-      8.0 * (prm.overhead_us + halo_bw_us + prm.mpi1_halo_extra_us) +
-      2.0 * prm.msg_latency_us;
+      8.0 * (overhead_us + halo_bw_us + prm.mpi1_halo_extra_us) +
+      2.0 * msg_latency_us;
   const double allreduce_us = prm.allreduce_per_log_us * log2d(p);
   const double noise = 1.0 + prm.noise_factor_per_log * log2d(p) * log2d(p);
 

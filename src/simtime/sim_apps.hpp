@@ -17,8 +17,6 @@ namespace fompi::sim {
 struct HashtableParams {
   int inserts_per_rank = 16384;
   int ranks_per_node = 32;       ///< Blue Waters XE6: 32 cores/node
-  double intra_op_us = 0.080;    ///< pipelined intra-node AMO issue
-  double inter_op_us = 0.416;    ///< pipelined inter-node AMO issue
   double upc_extra_us = 0.020;   ///< UPC runtime per-op cost on top
   double mpi1_service_us = 2.5;  ///< active-message handler + matching
   double mpi1_notify_us = 8.0;   ///< one termination-detection message
@@ -40,7 +38,8 @@ struct HashtableSeries {
   double mpi1_ginserts;
 };
 
-/// Throughput model: RMA inserts are pipelined and injection-limited; the
+/// Throughput model: RMA inserts are pipelined and injection-limited (one
+/// rdma::NetworkModel intra- or inter-node overhead per AMO); the
 /// MPI-1 active-message scheme pays the handler service time plus an O(p)
 /// termination-detection phase per batch (each process notifies all
 /// others), which caps its scaling exactly as the paper describes.
@@ -80,16 +79,12 @@ FftSeries simulate_fft(int p, const FftParams& params = {});
 struct MsgRateParams {
   /// Software issue cost per descriptor (fast-path instruction veneer).
   double sw_issue_ns = 20.0;
-  /// Per-doorbell processor->NIC handoff (the Gemini inter_overhead_ns).
-  double doorbell_overhead_ns = 416.0;
-  /// Incremental NIC cost of walking one extra chained descriptor; matches
-  /// NetworkModel::batch_chain_ns.
-  double chain_ns = 45.0;
   int batch = 64;     ///< descriptors coalesced behind one doorbell
   int channels = 1;   ///< NIC channels walking the chain in parallel
 };
 
-/// Closed-form small-op injection rate in Mops/s:
+/// Closed-form small-op injection rate in Mops/s, with the per-doorbell
+/// overhead and the per-descriptor chain cost of rdma::NetworkModel:
 ///
 ///   rate = batch / (overhead + sw*batch + chain * ceil((batch-1)/channels))
 ///
@@ -109,8 +104,6 @@ struct MilcParams {
   double flops_per_core_gfs = 1.0;
   int iterations = 4000;
   double halo_bytes = 4.0 * 4 * 8 * 2 * 72;  ///< 8-dir surface payload
-  double msg_latency_us = 1.0;
-  double overhead_us = 0.416;
   /// Extra per-direction cost of the MPI-1 halo exchange: matching, the
   /// rendezvous handshake of medium messages, and the serialization of
   /// eight sendrecv pairs — the overhead the UPC/foMPI scheme removes
@@ -127,7 +120,8 @@ struct MilcSeries {
 };
 
 /// Weak-scaling completion-time model: per-iteration compute + 8-direction
-/// halo exchange (transport-dependent) + convergence allreduce (log p).
+/// halo exchange (transport-dependent, on the rdma::NetworkModel put and
+/// AMO costs) + convergence allreduce (log p).
 MilcSeries simulate_milc(int p, const MilcParams& params = {});
 
 }  // namespace fompi::sim

@@ -21,21 +21,9 @@ enum class CollOp {
   alltoallv,  ///< persistent-plan run path: barrier + k sparse puts + AMOs
 };
 
+/// Workload shape of one collective; the per-op costs are the Gemini
+/// constants the runtime charges (rdma::NetworkModel).
 struct CollParams {
-  /// One-way latency of a small (FMA-sized) inter-node put.
-  double put_base_us = 1.0;
-  /// Software/injection cost at the origin per issued op (matches the
-  /// Gemini inter_overhead_ns the runtime charges).
-  double overhead_us = 0.416;
-  /// Inter-node serialization per payload byte.
-  double put_byte_ns = 0.16;
-  /// Inter-node AMO latency (the alltoallv arrival counter).
-  double amo_us = 2.4;
-  /// Intra-node copy/put costs (the hierarchy's gather/release tier and
-  /// the flat fallback's modeled copy).
-  double intra_base_us = 0.35;
-  double intra_overhead_us = 0.08;
-  double intra_byte_ns = 0.08;
   /// Ranks per node: 1 = flat trees over all p ranks; > 1 enables the
   /// two-tier hierarchy (intra-node gather, inter-node tree over p /
   /// ranks_per_node leaders).

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "rdma/network_model.hpp"
 #include "simtime/des.hpp"
 #include "simtime/sim_sync.hpp"
 
@@ -15,7 +16,8 @@ namespace {
 /// NBX, event-driven: every rank issues k synchronous sends to random
 /// targets; once all acks are in, it joins a nonblocking dissemination
 /// barrier. The exchange is complete when the last rank leaves the barrier.
-double simulate_nbx(int p, const DsdeParams& params) {
+/// `net` carries the small-message latency and injection overhead.
+double simulate_nbx(int p, const DsdeParams& params, const SyncParams& net) {
   if (p <= 1) return 0.0;
   const int rounds = std::bit_width(static_cast<unsigned>(p - 1));
   Sim sim;
@@ -45,7 +47,7 @@ double simulate_nbx(int p, const DsdeParams& params) {
         const int partner = static_cast<int>(
             (static_cast<std::uint64_t>(rank) + (1ull << r)) %
             static_cast<std::uint64_t>(p));
-        sim.after(params.overhead_us + params.msg_latency_us +
+        sim.after(net.per_msg_overhead_us + net.msg_latency_us +
                       params.p2p_msg_extra_us,
                   [&, partner, r] {
           auto& pst = ranks[static_cast<std::size_t>(partner)];
@@ -74,9 +76,8 @@ double simulate_nbx(int p, const DsdeParams& params) {
       for (int i = 0; i < params.k; ++i) {
         // Synchronous send: completes after the round trip (RTS + ack)
         // through the two-sided matching path.
-        const double issue = (i + 1) * params.overhead_us;
-        const double rtt =
-            2 * (params.msg_latency_us + params.p2p_msg_extra_us);
+        const double issue = (i + 1) * net.per_msg_overhead_us;
+        const double rtt = 2 * (net.msg_latency_us + params.p2p_msg_extra_us);
         sim.after(issue + rtt, [&, rank] {
           auto& s = ranks[static_cast<std::size_t>(rank)];
           if (--s.acks_pending == 0) join_barrier(rank);
@@ -95,41 +96,37 @@ double simulate_nbx(int p, const DsdeParams& params) {
 
 DsdeSeries simulate_dsde(int p, const DsdeParams& params) {
   DsdeSeries out{};
-  SyncParams sp;
-  sp.per_msg_overhead_us = params.overhead_us;
-  sp.msg_latency_us = params.msg_latency_us;
+  SyncParams sp;  // the network's small-message latency and overhead
   sp.seed = params.seed;
+  const double overhead_us = sp.per_msg_overhead_us;
+  const double amo_us = rdma::NetworkModel{}.amo_latency_ns() / 1e3;
 
   // foMPI RMA: fence, k remote accumulates (pipelined: k injection
   // overheads, one latency), fence.
   const double fence = simulate_dissemination_barrier(p, sp);
-  out.fompi_rma_us =
-      2 * fence + params.k * params.overhead_us + params.amo_latency_us;
+  out.fompi_rma_us = 2 * fence + params.k * overhead_us + amo_us;
 
   // The same protocol over Cray's MPI-2.2 one sided: per-op software cost
   // and a slower fence (perf::BaselineModel).
   const perf::BaselineModel bm;
   SyncParams sp22 = sp;
-  sp22.msg_latency_us =
-      sp.msg_latency_us * bm.mpi22_fence_per_log_us / 2.9;
+  sp22.msg_latency_us = sp.msg_latency_us * bm.mpi22_fence_per_log_us /
+                        perf::PaperModel{}.fence_per_log_us;
   const double fence22 = simulate_dissemination_barrier(p, sp22);
-  out.mpi22_rma_us = 2 * fence22 +
-                     params.k * (params.overhead_us + bm.mpi22_extra_us) +
-                     params.amo_latency_us;
+  out.mpi22_rma_us =
+      2 * fence22 + params.k * (overhead_us + bm.mpi22_extra_us) + amo_us;
 
   // NBX (LibNBC-style), event-driven.
-  out.nbx_us = simulate_nbx(p, params);
+  out.nbx_us = simulate_nbx(p, params, sp);
 
   // Reduce_scatter protocol: counts via a vector reduce_scatter (the
   // vector is p entries long — linear work), then k direct messages.
-  out.reduce_scatter_us = 20.0 + 0.1 * p +
-                          params.k * (params.overhead_us +
-                                      params.msg_latency_us);
+  out.reduce_scatter_us =
+      20.0 + 0.1 * p + params.k * (overhead_us + sp.msg_latency_us);
 
   // Alltoall protocol: dense personalized exchange, pairwise algorithm —
   // p-1 rounds regardless of the sparse payload.
-  out.alltoall_us =
-      (p - 1) * (params.overhead_us + 0.2) + params.msg_latency_us;
+  out.alltoall_us = (p - 1) * (overhead_us + 0.2) + sp.msg_latency_us;
 
   return out;
 }

@@ -11,9 +11,6 @@ namespace fompi::sim {
 struct DsdeParams {
   int k = 6;                    ///< random neighbors per process
   std::uint64_t seed = 42;
-  double msg_latency_us = 1.0;  ///< small-message one-way latency
-  double overhead_us = 0.416;   ///< injection overhead
-  double amo_latency_us = 2.4;  ///< remote accumulate latency
   /// Extra per-message software cost of the two-sided path (matching +
   /// synchronous-send handshake bookkeeping); the NBX rounds run over MPI
   /// point-to-point, not raw RDMA, which is why measured LibNBC sits above
@@ -29,9 +26,11 @@ struct DsdeSeries {
   double alltoall_us;       ///< counts via alltoall, then sends
 };
 
-/// Simulates one complete exchange at `p` processes. NBX and the RMA
-/// fences run event-driven; the dense collectives use the standard
-/// algorithm cost models (pairwise exchange / recursive halving).
+/// Simulates one complete exchange at `p` processes, charging the Gemini
+/// small-message latency, injection overhead and AMO latency
+/// (rdma::NetworkModel). NBX and the RMA fences run event-driven; the dense
+/// collectives use the standard algorithm cost models (pairwise exchange /
+/// recursive halving).
 DsdeSeries simulate_dsde(int p, const DsdeParams& params = {});
 
 }  // namespace fompi::sim

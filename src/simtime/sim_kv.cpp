@@ -9,15 +9,22 @@ namespace {
 
 // NIC-served ops of the uncached read: {epoch, v1}, the cell rget, v2.
 constexpr int kUncachedOps = 4;
+// A top cell: {key, ver, val}.
+constexpr std::size_t kCellBytes = 24;
+
+double amo_us(const KvParams& p) { return p.net.amo_latency_ns() / 1e3; }
 
 }  // namespace
 
 double kv_uncached_read_us(const KvParams& p) {
-  return (p.amo_us + p.inject_us) + p.cell_get_us + p.amo_us;
+  const rdma::NetworkModel& n = p.net;
+  return (2.0 * n.amo_latency_ns() + n.inter_overhead_ns +
+          n.get_latency_ns(kCellBytes)) /
+         1e3;
 }
 
 double kv_read_us(const KvParams& p, bool degraded) {
-  const double cached = p.cached_amos * p.amo_us;
+  const double cached = p.cached_amos * amo_us(p);
   const double h = degraded ? 0.0 : p.hit_rate;  // degraded bypasses cache
   return h * cached + (1.0 - h) * kv_uncached_read_us(p);
 }
@@ -25,12 +32,12 @@ double kv_read_us(const KvParams& p, bool degraded) {
 double kv_read_p99_us(const KvParams& p, bool degraded) {
   const double miss_mass = degraded ? 1.0 : 1.0 - p.hit_rate;
   if (miss_mass >= 0.01) return kv_uncached_read_us(p);
-  return p.cached_amos * p.amo_us;
+  return p.cached_amos * amo_us(p);
 }
 
 double kv_put_us(const KvParams& p, bool degraded) {
   const int regions = (p.replicate && !degraded) ? 2 : 1;
-  return regions * p.put_amos * p.amo_us;
+  return regions * p.put_amos * amo_us(p);
 }
 
 double kv_hot_shard_mass(const KvParams& p) {
@@ -56,7 +63,8 @@ double simulate_kv_throughput_mops(int clients, const KvParams& p) {
       p.read_ratio * ((1.0 - p.hit_rate) * kUncachedOps +
                       p.hit_rate * p.cached_amos) +
       (1.0 - p.read_ratio) * p.put_amos;
-  const double serve_mops = 1.0 / (p.amo_service_us * ops_per_op);
+  // NIC-side occupancy per served AMO is the per-op injection overhead.
+  const double serve_mops = 1e3 / (p.net.inter_overhead_ns * ops_per_op);
   const double hot_cap = serve_mops / phi;
 
   return std::min(offered, hot_cap);
@@ -67,12 +75,12 @@ double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
   if (chunk == 0) chunk = 1;
   const double chunks =
       static_cast<double>((shard_bytes + chunk - 1) / chunk);
-  const double drain_us = chunks * p.bte_setup_us +
-                          static_cast<double>(shard_bytes) * p.bte_byte_ns /
-                              1e3;
+  const double bytes = static_cast<double>(shard_bytes);
+  const double drain_us =
+      (chunks * p.net.bte_setup_ns + bytes * p.net.bte_byte_ns) / 1e3;
   const double scrub_us =
-      static_cast<double>(cells) * p.scrub_amos * p.amo_us;
-  const double gen_us = 2.0 * p.amo_us;  // claim CAS + release write
+      static_cast<double>(cells) * p.scrub_amos * amo_us(p);
+  const double gen_us = 2.0 * amo_us(p);  // claim CAS + release write
   return drain_us + scrub_us + gen_us;
 }
 

@@ -10,19 +10,15 @@
 
 #include <cstdint>
 
+#include "rdma/network_model.hpp"
+
 namespace fompi::sim {
 
 struct KvParams {
-  /// One inter-node AMO round trip (Gemini FADD/CSWAP latency; matches the
-  /// inter_op latency the figure benches charge).
-  double amo_us = 2.4;
-  /// Origin injection overhead per op (Gemini 416 ns, Sec 3.1.2): the
-  /// second op of an overlapped round leaves this much after the first.
-  double inject_us = 0.416;
-  /// One 24-byte cell rget: P_get = 1.9 us + 0.17 ns/B plus the FMA
-  /// per-64-byte chunk cost (the src/rdma NetworkModel get_latency_ns(24)
-  /// expressed in the units used here).
-  double cell_get_us = 1.9 + 24 * 0.17e-3 + 10.0 * 24 / 64 * 1e-3;
+  /// The network every term is charged on: AMO round trips, the injection
+  /// overhead (which also bounds one shard owner's served-AMO rate), the
+  /// cell rget and the BTE drain of recovery.
+  rdma::NetworkModel net{};
   /// Remote words touched by a cache-validated hit: the shard epoch check.
   int cached_amos = 1;
   /// Remote ops of a put against one region: top CAS + lock CAS + value
@@ -34,16 +30,8 @@ struct KvParams {
   int fibers = 8;            ///< in-flight ops per closed-loop client rank
   int shards = 8;
   double zipf_s = 0.9;       ///< key->shard popularity skew
-  /// NIC-side occupancy per served AMO (the Gemini per-op overhead): one
-  /// shard owner sustains 1/0.416 ~ 2.4 M served AMOs/s.
-  double amo_service_us = 0.416;
 
   // --- recovery constants (DESIGN.md §13) -----------------------------------
-  /// BTE bulk-channel setup per drain chunk and per-byte streaming cost
-  /// (the src/simtime Gemini model's bte_setup_ns = 1100, bte_byte_ns =
-  /// 0.145 expressed in the units used here).
-  double bte_setup_us = 1.1;
-  double bte_byte_ns = 0.145;
   /// Remote words per scrubbed cell pair: {v1, key, value, v2} seqlock
   /// snapshots of BOTH copies (repairs are rare enough not to move the
   /// mean).
@@ -51,8 +39,8 @@ struct KvParams {
 };
 
 /// Modeled uncached get (us), a top-cell snapshot in three rounds: the
-/// {epoch, v1} AMO pair (amo_us + inject_us), the cell rget
-/// (cell_get_us), the v2 AMO (amo_us).
+/// {epoch, v1} AMO pair (one AMO plus one injection overhead), the 24-byte
+/// cell rget, the v2 AMO.
 double kv_uncached_read_us(const KvParams& p);
 
 /// Mean modeled get latency (us). Degraded mode (owner dead, replica

@@ -13,12 +13,7 @@ namespace {
 constexpr double kSoftwareNs = 60.0;
 
 OverlapModel make(double latency_ns) {
-  const rdma::NetworkModel net;
-  OverlapModel m;
-  m.overhead_ns = net.inter_overhead_ns;
-  m.software_ns = kSoftwareNs;
-  m.latency_ns = latency_ns;
-  return m;
+  return {rdma::NetworkModel{}.inter_overhead_ns, kSoftwareNs, latency_ns};
 }
 
 }  // namespace

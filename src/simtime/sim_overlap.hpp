@@ -17,13 +17,14 @@
 
 namespace fompi::sim {
 
+/// Built by the overlap_model_* factories below.
 struct OverlapModel {
-  /// Origin injection overhead per op (Gemini inter_overhead_ns).
-  double overhead_ns = 416.0;
+  /// Origin injection overhead per op.
+  double overhead_ns = 0.0;
   /// Issue-path software cost per op (scheduler switch + bookkeeping).
-  double software_ns = 60.0;
+  double software_ns = 0.0;
   /// Network completion latency of the pipelined op.
-  double latency_ns = 2400.0;
+  double latency_ns = 0.0;
 
   /// Steady-state cost per op with `fibers` suspend-on-wait pipelines.
   double ns_per_op(int fibers) const noexcept {

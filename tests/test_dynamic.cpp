@@ -252,6 +252,10 @@ TEST(Dynamic, AttachDetachStormDoesNotLeakRegistrations) {
     auto& reg = ctx.fabric().domain().registry();
     ctx.barrier();
     const std::size_t base_live = reg.live_count();
+    // The registry is shared by all ranks, and create_dynamic's leader
+    // registers every rank's control block before its first barrier: no
+    // rank may start creating until every rank has taken its snapshot.
+    ctx.barrier();
     {
       Win win = Win::create_dynamic(ctx);
       for (int round = 0; round < 10; ++round) {

@@ -11,10 +11,10 @@ using perf::Sample;
 
 TEST(CostFunctions, PaperAnchors) {
   const perf::PaperModel m;
-  EXPECT_NEAR(m.put.us(8), 1.0, 0.01);          // P_put small
-  EXPECT_NEAR(m.put.us(100000), 17.0, 0.1);     // 0.16 ns/B slope
-  EXPECT_NEAR(m.get.us(8), 1.9, 0.01);
-  EXPECT_NEAR(m.acc_sum.us(8), 2.624, 0.01);    // 28 ns/B * 8 + 2.4
+  EXPECT_NEAR(m.put().us(8), 1.0, 0.01);          // P_put small
+  EXPECT_NEAR(m.put().us(100000), 17.0, 0.1);     // 0.16 ns/B slope
+  EXPECT_NEAR(m.get().us(8), 1.9, 0.01);
+  EXPECT_NEAR(m.acc_sum().us(8), 2.624, 0.01);    // 28 ns/B * 8 + 2.4
   EXPECT_NEAR(m.fence_us(2), 2.9, 0.01);
   EXPECT_NEAR(m.fence_us(8192), 2.9 * 13, 0.01);
   EXPECT_DOUBLE_EQ(m.fence_us(1), 0.0);

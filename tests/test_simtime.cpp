@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "perfmodel/cost_functions.hpp"
+#include "rdma/network_model.hpp"
 #include "simtime/des.hpp"
 #include "simtime/sim_apps.hpp"
 #include "simtime/sim_coll.hpp"
@@ -213,7 +215,7 @@ TEST(SimMsgRate, ChannelsMonotonicallyRaiseTheBatchedRate) {
   MsgRateParams wide;
   wide.channels = 1 << 20;
   const double cap =
-      wide.batch / (wide.doorbell_overhead_ns +
+      wide.batch / (rdma::NetworkModel{}.inter_overhead_ns +
                     wide.sw_issue_ns * wide.batch) * 1e3;
   EXPECT_LE(simulate_msgrate_mops(wide), cap * 1.001);
 }
@@ -263,9 +265,10 @@ TEST(SimColl, BarrierFormCrossChecksAgainstDes) {
   // The closed-form barrier must agree with the event-driven dissemination
   // barrier (sim_sync) when fed the same per-round constants.
   CollParams c;
+  const rdma::NetworkModel net;
   SyncParams sp;
-  sp.msg_latency_us = c.put_base_us;
-  sp.per_msg_overhead_us = c.overhead_us;
+  sp.msg_latency_us = net.put_base_ns / 1e3;
+  sp.per_msg_overhead_us = net.inter_overhead_ns / 1e3;
   sp.noise = Noise{};  // deterministic
   for (int p : {8, 64, 1024, 32768}) {
     const double closed = simulate_coll_us(CollOp::barrier, p, c);
@@ -364,10 +367,13 @@ TEST(SimKv, CacheLeverageAtLeast2x) {
   EXPECT_GE(uncached, 2.0 * cached);
   const double get24_us = 1.9 + 24 * 0.17e-3 + 10.0 * 24 / 64 * 1e-3;
   EXPECT_NEAR(uncached / cached, (2 * 2.4 + 0.416 + get24_us) / 2.4, 1e-9);
-  // Every term comes from KvParams: a different network moves all of it.
-  p.amo_us = 1.0;
-  p.inject_us = 0.1;
-  p.cell_get_us = 0.5;
+  // Every term comes from KvParams::net: a different network moves all of
+  // it (AMO 1 us, injection 0.1 us, a flat 0.5 us cell rget).
+  p.net.amo_base_ns = 1000.0;
+  p.net.inter_overhead_ns = 100.0;
+  p.net.get_base_ns = 500.0;
+  p.net.get_byte_ns = 0.0;
+  p.net.fma_chunk_ns = 0.0;
   EXPECT_NEAR(kv_uncached_read_us(p), 2 * 1.0 + 0.1 + 0.5, 1e-12);
 }
 
@@ -493,5 +499,118 @@ TEST(SimKvRecovery, ChunkingOnlyAddsSetupOverhead) {
     EXPECT_LT(t, prev) << "bigger chunks must not slow the drain, chunk="
                        << chunk;
     prev = t;
+  }
+}
+
+// --- the one cost model ------------------------------------------------------
+
+TEST(CostModel, GoldenClosedForms) {
+  // Every closed form, the paper model and the runtime's datatype choice,
+  // evaluated at fixed points and pinned to 1e-12. The shape tests above
+  // tolerate a moved coefficient; this one does not, so any change to
+  // rdma::NetworkModel or perf::PaperModel shows up here.
+  struct Golden {
+    const char* name;
+    double got;
+    double want;
+  };
+  const rdma::NetworkModel net;
+  const perf::PaperModel pm;
+  const perf::DatatypePathModel dt;
+  CollParams hier;
+  hier.ranks_per_node = 32;
+  const KvParams kv;
+  const DsdeSeries dsde = simulate_dsde(1024);
+  const HashtableSeries ht = simulate_hashtable(4096);
+  MsgRateParams rate1;
+  rate1.batch = 1;
+  const MilcSeries milc = simulate_milc(65536);
+  const FenceSeries fence = simulate_fence_all(1024, 42);
+  const PscwSeries pscw = simulate_pscw_all(1024, 42);
+  const auto pack = [](perf::DatatypePathModel::Strategy s) {
+    return s == perf::DatatypePathModel::Strategy::pack ? 1.0 : 0.0;
+  };
+  const Golden cases[] = {
+      {"net.put_latency_ns(8)", net.put_latency_ns(8), 1002.53},
+      {"net.put_latency_ns(8192)", net.put_latency_ns(8192), 2287.84},
+      {"net.get_latency_ns(24)", net.get_latency_ns(24), 1907.83},
+      {"net.put_vec_latency_ns(16,1024)", net.put_vec_latency_ns(16, 1024),
+       1998.84},
+      {"net.chain_latency_ns(64,1)", net.chain_latency_ns(64, 1), 2835.0},
+      {"net.chain_latency_ns(64,4)", net.chain_latency_ns(64, 4), 720.0},
+      {"coll.barrier.p64", simulate_coll_us(CollOp::barrier, 64),
+       8.495999999999999},
+      {"coll.bcast.p64", simulate_coll_us(CollOp::bcast, 64),
+       19.495679999999997},
+      {"coll.allreduce.p64", simulate_coll_us(CollOp::allreduce, 64),
+       19.495679999999997},
+      {"coll.allgather.p64", simulate_coll_us(CollOp::allgather, 64), 19.56864},
+      {"coll.alltoallv.p64", simulate_coll_us(CollOp::alltoallv, 64),
+       13.458239999999998},
+      {"coll.barrier.p32768", simulate_coll_us(CollOp::barrier, 32768), 21.24},
+      {"coll.bcast.p32768", simulate_coll_us(CollOp::bcast, 32768), 48.7392},
+      {"coll.allreduce.p32768", simulate_coll_us(CollOp::allreduce, 32768),
+       48.7392},
+      {"coll.allgather.p32768", simulate_coll_us(CollOp::allgather, 32768),
+       90.66176},
+      {"coll.alltoallv.p32768", simulate_coll_us(CollOp::alltoallv, 32768),
+       26.202239999999996},
+      {"coll.bcast.p32768.rpn32",
+       simulate_coll_us(CollOp::bcast, 32768, hier), 45.39408},
+      {"coll.allgather.p32768.rpn32",
+       simulate_coll_us(CollOp::allgather, 32768, hier), 87.28336000000002},
+      {"kv.uncached_read_us", kv_uncached_read_us(kv), 7.12383},
+      {"kv.read_us", kv_read_us(kv), 3.344766},
+      {"kv.read_us.degraded", kv_read_us(kv, true), 7.12383},
+      {"kv.put_us", kv_put_us(kv), 28.799999999999997},
+      {"kv.throughput_mops(64)", simulate_kv_throughput_mops(64, kv),
+       7.438805569536179},
+      {"kv.throughput_mops(4096)", simulate_kv_throughput_mops(4096, kv),
+       7.438805569536179},
+      {"kv.recovery_us", kv_recovery_us(kv, 1 << 20, 320), 6864.04352},
+      {"dsde.fompi_rma_us", dsde.fompi_rma_us, 33.216},
+      {"dsde.mpi22_rma_us", dsde.mpi22_rma_us, 108.5953103448276},
+      {"dsde.nbx_us", dsde.nbx_us, 36.656},
+      {"dsde.reduce_scatter_us", dsde.reduce_scatter_us, 130.89600000000002},
+      {"dsde.alltoall_us", dsde.alltoall_us, 631.168},
+      {"ht.fompi_ginserts", ht.fompi_ginserts, 7.622060431253053},
+      {"ht.upc_ginserts", ht.upc_ginserts, 7.270306849193495},
+      {"ht.mpi1_ginserts", ht.mpi1_ginserts, 0.12235391639509995},
+      {"msgrate.batch1", simulate_msgrate_mops(rate1), 2.293577981651376},
+      {"msgrate.batch64", simulate_msgrate_mops(), 14.124917236813067},
+      {"milc.mpi1_s", milc.mpi1_s, 7.61769609216},
+      {"milc.upc_s", milc.upc_s, 6.8567240620032},
+      {"milc.fompi_s", milc.fompi_s, 6.85181449216},
+      {"fence.fompi_us", fence.fompi_us, 28.999999999999993},
+      {"fence.upc_us", fence.upc_us, 20.0},
+      {"fence.caf_us", fence.caf_us, 80.0},
+      {"fence.craympi_us", fence.craympi_us, 60.0},
+      {"pscw.fompi_us", pscw.fompi_us, 5.55},
+      {"pscw.craympi_us", pscw.craympi_us, 117.47},
+      {"sync.barrier(1024)", simulate_dissemination_barrier(1024, {}),
+       14.160000000000002},
+      {"sync.pscw_ring(64)", simulate_pscw_ring(64, {}), 5.55},
+      {"overlap.put8(1)", overlap_model_put8().ns_per_op(1), 1478.53},
+      {"overlap.put8(64)", overlap_model_put8().ns_per_op(64), 476.0},
+      {"overlap.get8(1)", overlap_model_get8().ns_per_op(1),
+       2378.6099999999997},
+      {"overlap.get8(64)", overlap_model_get8().ns_per_op(64), 476.0},
+      {"overlap.amo8(1)", overlap_model_amo8().ns_per_op(1), 2876.0},
+      {"overlap.amo8(64)", overlap_model_amo8().ns_per_op(64), 476.0},
+      {"paper.put.us(8)", pm.put().us(8), 1.00128},
+      {"paper.put.us(100000)", pm.put().us(100000), 17.0},
+      {"paper.get.us(8)", pm.get().us(8), 1.90136},
+      {"paper.get.us(100000)", pm.get().us(100000), 18.9},
+      {"paper.acc_sum.us(8)", pm.acc_sum().us(8), 2.624},
+      {"paper.cas_us", pm.cas_us(), 2.4},
+      {"paper.fence_us(1024)", pm.fence_us(1024), 29.0},
+      {"paper.pscw_round_us(2)", pm.pscw_round_us(2), 3.8999999999999995},
+      {"dt.put_pack(1024,8192)", pack(dt.choose_put(1024, 8192)), 1.0},
+      {"dt.get_pack(1024,8192)", pack(dt.choose_get(1024, 8192)), 1.0},
+      {"dt.put_pack(2,65536)", pack(dt.choose_put(2, 65536)), 0.0},
+      {"dt.get_pack(2,65536)", pack(dt.choose_get(2, 65536)), 0.0},
+  };
+  for (const Golden& g : cases) {
+    EXPECT_NEAR(g.got, g.want, 1e-12 * std::abs(g.want)) << g.name;
   }
 }
