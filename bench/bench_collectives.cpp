@@ -9,9 +9,9 @@
 //
 // Output: one JSON object on stdout (consumed by scripts/bench_smoke.sh
 // as BENCH_collectives.json). Acceptance gates run on the DES section
-// only (thread-rank numbers are scheduler-noise-dominated on this
-// one-core host): barrier and alltoallv at 256 ranks must stay within 8x
-// of their 8-rank cost — log-p round counts, not linear.
+// only (thread-rank numbers are scheduler-noise-dominated when rank
+// threads outnumber the cores): barrier and alltoallv at 256 ranks must
+// stay within 8x of their 8-rank cost — log-p round counts, not linear.
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -21,7 +21,8 @@
 #      forced trees and persistent plans, the fiber progress engine +
 #      notify plane, and the KV service's seqlock reads under a
 #      concurrent writer plus its kill/failover path and the full
-#      self-healing recovery/scrub/reconfiguration suite)
+#      self-healing recovery/scrub/reconfiguration suite, and the op and
+#      round budgets of the instr bounds, KV gets and puts included)
 #   3b. AddressSanitizer build + the whole ctest suite, three times (the
 #      KV gets rget cell snapshots into stack and fiber buffers; the
 #      repeats catch schedule-dependent heap misuse a single run misses)
@@ -73,7 +74,8 @@ python3 perfbench/run.py --selftest
 cmake -B build-tsan -G Ninja -DFOMPI_SANITIZE=thread
 cmake --build build-tsan --target \
   test_rdma test_lock test_datatype test_comm test_accumulate test_trace \
-  test_batch test_fault test_collectives test_progress test_kv
+  test_batch test_fault test_collectives test_progress test_kv \
+  test_instr_bounds
 ./build-tsan/tests/test_rdma
 ./build-tsan/tests/test_lock
 ./build-tsan/tests/test_datatype
@@ -85,6 +87,7 @@ cmake --build build-tsan --target \
 ./build-tsan/tests/test_collectives
 ./build-tsan/tests/test_progress
 ./build-tsan/tests/test_kv
+./build-tsan/tests/test_instr_bounds
 
 cmake -B build-asan -G Ninja -DFOMPI_SANITIZE=address
 cmake --build build-asan

@@ -14,8 +14,9 @@ class Backoff {
  public:
   explicit Backoff(std::uint32_t max_spins = 1024) : max_(max_spins) {}
 
-  /// One back-off step: yields at least once (single-core safety) and then
-  /// spins with exponentially growing bound.
+  /// One back-off step: yields at least once (rank threads outnumber the
+  /// cores, so the peer we wait on may need our core) and then spins with
+  /// exponentially growing bound.
   void pause() noexcept {
     count(Op::retry);
     std::this_thread::yield();

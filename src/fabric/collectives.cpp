@@ -113,10 +113,10 @@ void Collectives::barrier(int rank) {
     // (fault-plan kill under errors_return) its flag never arrives; raise a
     // typed peer_dead instead of spinning forever. death_epoch() keeps the
     // common no-deaths case to one load. The flag must be re-checked AFTER
-    // observing the death: on a one-core host the writer can deliver its
-    // flag, run ahead, and die all inside our yield window, and its flag
-    // stores precede the death mark — so only a flag still missing from a
-    // dead writer can never arrive.
+    // observing the death: when rank threads outnumber the cores, the
+    // writer can deliver its flag, run ahead, and die all inside our yield
+    // window, and its flag stores precede the death mark — so only a flag
+    // still missing from a dead writer can never arrive.
     const int writer = static_cast<int>(
         (static_cast<std::uint64_t>(rank) + static_cast<std::uint64_t>(p) -
          ((1ull << r) % static_cast<std::uint64_t>(p))) %

@@ -283,7 +283,11 @@ Fiber& Scheduler::adopt(std::unique_ptr<Fiber> fiber) {
 
 void Scheduler::make_runnable(Fiber* f, rdma::OpStatus st) {
   f->wake_status_ = st;
-  runnable_.push_back(f);
+  if (f->urgent_) {
+    runnable_.push_front(f);
+  } else {
+    runnable_.push_back(f);
+  }
 }
 
 void Scheduler::heap_push(HandleWait w) {

@@ -159,6 +159,11 @@ class Fiber {
   /// Must be cheap and callable repeatedly from the scheduler idle loop.
   virtual bool poll_ready() { return true; }
   void finish() noexcept { done_ = true; }
+  /// While set, each wakeup puts this fiber at the FRONT of the runnable
+  /// queue: for a fiber holding something its siblings wait on (a KV cell
+  /// lock), so the hold ends after its own round instead of after every
+  /// runnable sibling's turn.
+  void set_urgent(bool urgent) noexcept { urgent_ = urgent; }
   int pc_ = 0;  ///< continuation frame resume point (macro-managed)
 
  private:
@@ -167,6 +172,7 @@ class Fiber {
   NotifyRecord wake_record_{};
   std::uint32_t id_ = 0;
   bool done_ = false;
+  bool urgent_ = false;
 };
 
 /// Per-rank cooperative scheduler. Owns its fibers; run() executes until

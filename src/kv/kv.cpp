@@ -1,6 +1,7 @@
 #include "kv/kv.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/backoff.hpp"
 #include "common/instr.hpp"
@@ -20,7 +21,7 @@ constexpr std::size_t kCellStride = 32;  // overflow cell, next link last
 // before attempting revocation (mirrors the window's dead-lock-holder path).
 constexpr int kRevokeSpins = 256;
 
-// A fleet fiber's pause before re-reading a cell it found locked or torn.
+// A fleet fiber's pause before retrying a cell it found locked or torn.
 constexpr std::uint64_t kFiberBackoffNs = 1000;
 
 }  // namespace
@@ -74,6 +75,7 @@ KvStore::KvStore(fabric::RankCtx& ctx, KvConfig cfg)
   routing_.assign(static_cast<std::size_t>(cfg_.shards), 0);
   degraded_.assign(static_cast<std::size_t>(cfg_.shards), false);
   cache_.assign(static_cast<std::size_t>(cfg_.shards), {});
+  hints_.assign(static_cast<std::size_t>(cfg_.shards), {});
   epoch_seen_.assign(static_cast<std::size_t>(cfg_.shards), 0);
   const auto st = fetch_routing();
   FOMPI_REQUIRE(st == rdma::OpStatus::ok, ErrClass::internal,
@@ -307,8 +309,10 @@ void KvStore::apply_routing(const std::vector<std::uint64_t>& old) {
     const auto i = static_cast<std::size_t>(s);
     if (old.size() == routing_.size() && old[i] != routing_[i]) {
       // The shard's copies moved: epoch stamps taken against the old
-      // primary region are meaningless against the new one.
+      // primary region are meaningless against the new one, and so are
+      // version hints into the old regions.
       cache_[i].clear();
+      hints_[i].clear();
       epoch_seen_[i] = 0;
     }
     degraded_[i] = !win_.peer_alive(copy_of(s, false).rank);
@@ -316,13 +320,6 @@ void KvStore::apply_routing(const std::vector<std::uint64_t>& old) {
 }
 
 rdma::OpStatus KvStore::refresh_routing() { return fetch_routing(); }
-
-rdma::OpStatus KvStore::debug_write_copy(std::uint64_t key, bool replica,
-                                         std::uint64_t value) {
-  const int shard = shard_of(key);
-  const Copy c = copy_of(shard, replica);
-  return write_region(c.rank, shard, replica, key, value, false);
-}
 
 // --- failover ----------------------------------------------------------------
 
@@ -359,73 +356,16 @@ rdma::OpStatus KvStore::maybe_revoke(int t, std::size_t ver_off,
   return amo_cas(t, ver_off, stuck_ver, stuck_ver + 1, &prev);
 }
 
-// --- seqlock cell protocol ----------------------------------------------------
 
-rdma::OpStatus KvStore::lock_cell(int t, std::size_t cell_off,
-                                  std::uint64_t* ver) {
-  Backoff bo;
-  int stuck = 0;
-  while (true) {  // CAS version even -> odd
-    auto st = amo_read(t, cell_off + kVerOff, ver);
-    if (st != rdma::OpStatus::ok) return st;
-    if ((*ver & 1) == 0) {
-      std::uint64_t prev = 0;
-      st = amo_cas(t, cell_off + kVerOff, *ver, *ver + 1, &prev);
-      if (st != rdma::OpStatus::ok) return st;
-      if (prev == *ver) return rdma::OpStatus::ok;
-    } else if (++stuck > kRevokeSpins) {
-      if (maybe_revoke(t, cell_off + kVerOff, *ver) ==
-          rdma::OpStatus::peer_dead) {
-        return rdma::OpStatus::peer_dead;  // host dead, lock frozen odd
-      }
-      stuck = 0;
-    }
-    bo.pause();
-    fabric_->yield_check();
-  }
-}
-
-rdma::OpStatus KvStore::reclaim_cell(int t, std::size_t cell_off,
-                                     std::uint64_t key, std::uint64_t value,
-                                     bool* won) {
-  // Under the version lock, so no snapshot pairs the new key with the
-  // erased key's value; and value before key, so that also holds when this
-  // writer dies mid-reclaim and a survivor revokes the lock. Only lock
-  // holders change a claimed key word, so the key read below is stable.
-  *won = false;
-  std::uint64_t v = 0;
-  auto st = lock_cell(t, cell_off, &v);
-  if (st != rdma::OpStatus::ok) return st;
-  std::uint64_t k = 0;
-  st = amo_read(t, cell_off, &k);
-  if (st == rdma::OpStatus::ok && (k == kTombstone || k == key)) {
-    *won = true;  // a tombstone, or a racing reclaim for this same key
-    st = amo_write(t, cell_off + kValOff, value);
-    if (st == rdma::OpStatus::ok && k == kTombstone) {
-      st = amo_write(t, cell_off, key);
-    }
-  }
-  // Release even on failure so a typed fault does not wedge the cell.
-  const auto rel = amo_write(t, cell_off + kVerOff, v + 2);
-  return st != rdma::OpStatus::ok ? st : rel;
-}
-
-rdma::OpStatus KvStore::seq_write(int t, int shard, bool replica,
-                                  std::size_t cell_off, std::uint64_t value) {
-  // value == kTombstone means erase: the KEY word is overwritten (readers
-  // then miss), the value word is left alone.
-  std::uint64_t v = 0;
-  auto st = lock_cell(t, cell_off, &v);
-  if (st != rdma::OpStatus::ok) return st;
-  st = value == kTombstone ? amo_write(t, cell_off, kTombstone)
-                           : amo_write(t, cell_off + kValOff, value);
-  // Release even on failure so a typed fault does not wedge the cell.
-  const auto rel = amo_write(t, cell_off + kVerOff, v + 2);
-  if (st == rdma::OpStatus::ok) st = rel;
-  if (st != rdma::OpStatus::ok) return st;
-  // Invalidate every client's cached view of the shard: one AMO.
-  return amo_add(t, epoch_off(shard, replica), 1);
-}
+// --- rounds --------------------------------------------------------------------
+//
+// A KV op is a few rounds: each round's ops overlap on the wire, and the
+// next round is issued only once all of them retired. Every op is a state
+// machine over its rounds — step() consumes the settled round and issues
+// the next — so get()/put() run it on the calling thread and a fleet fiber
+// parks on the very same handles. Either way a round's ops retire in issue
+// order, which is also the order their effects land under deferred
+// delivery; the write protocol below relies on it.
 
 core::RmaRequest KvStore::rget_cell(int t, std::size_t cell_off,
                                     CellWords* c, bool with_next) {
@@ -434,133 +374,87 @@ core::RmaRequest KvStore::rget_cell(int t, std::size_t cell_off,
                    t, cell_off);
 }
 
-// --- cell location ------------------------------------------------------------
+struct KvStore::RoundOp {
+  explicit RoundOp(KvStore& kv) : kv(kv) {}
 
-rdma::OpStatus KvStore::locate(int t, const BucketLayout& l,
-                               std::uint64_t key, bool claim,
-                               std::uint64_t value, std::size_t* cell_off,
-                               bool* published) {
-  const std::size_t slot = slot_of(key);
-  *cell_off = 0;
-  *published = false;
+  /// Consumes the settle()d round and issues the next; true once the op
+  /// retired (`status` and the outputs are then final). No pending() ops
+  /// with `backoff` set means: pause, then step() again.
+  virtual bool step() = 0;
+
+  /// Ops of the round in flight. Await each awaitable() one and settle()
+  /// its status; an op that retired at issue already holds its status.
+  std::size_t pending() const noexcept { return n; }
+  bool awaitable(std::size_t i) const noexcept {
+    return !reqs[i].handles().empty();
+  }
+  core::RmaRequest& request(std::size_t i) noexcept { return reqs[i]; }
+  void settle(std::size_t i, rdma::OpStatus st) noexcept { sts[i] = st; }
+  /// The round in flight may hold a cell lock other ops wait on.
+  virtual bool critical() const { return false; }
+
+  bool backoff = false;
+  rdma::OpStatus status = rdma::OpStatus::ok;
+
+ protected:
+  ~RoundOp() = default;  // ops live on stacks and in fibers, never deleted
+                         // through this base
+
+  static constexpr std::size_t kMaxOps = 6;
+  static constexpr std::size_t kUnset = kMaxOps;  ///< op not in the round
+
+  /// Adds `req` to the round being issued (its first op opens the round).
+  std::size_t issue(core::RmaRequest req) {
+    if (n == 0) count(Op::kv_round);
+    sts[n] = rdma::OpStatus::ok;
+    if (req.handles().empty()) {
+      // Retired at issue: under errors_return a dead-peer status went to
+      // the window's sticky last_error(), which every op of this rank
+      // shares. Take it now, before another fiber's op overwrites it.
+      sts[n] = kv.win_.last_error();
+      kv.win_.clear_last_error();
+      req.dismiss();
+    }
+    reqs[n] = std::move(req);
+    return n++;
+  }
+  std::size_t read(int t, std::size_t off, std::uint64_t* v) {
+    return issue(
+        kv.win_.rfetch_and_op(nullptr, v, Elem::u64, RedOp::no_op, t, off));
+  }
+  std::size_t cas(int t, std::size_t off, std::uint64_t expect,
+                  std::uint64_t desired, std::uint64_t* prev) {
+    return issue(kv.win_.rcompare_and_swap(&desired, &expect, prev,
+                                           Elem::u64, t, off));
+  }
+  std::size_t write(int t, std::size_t off, std::uint64_t v) {
+    return issue(
+        kv.win_.raccumulate(&v, 1, Elem::u64, RedOp::replace, t, off));
+  }
+  std::size_t add(int t, std::size_t off, std::uint64_t a) {
+    return issue(kv.win_.raccumulate(&a, 1, Elem::u64, RedOp::sum, t, off));
+  }
+
+  KvStore& kv;
+  core::RmaRequest reqs[kMaxOps];
+  rdma::OpStatus sts[kMaxOps] = {};
+  std::size_t n = 0;
+};
+
+rdma::OpStatus KvStore::run(RoundOp& op) {
   Backoff bo;
-  while (true) {  // restarted only by tombstone-reclaim races
-    if (claim) {
-      std::uint64_t prev = 0;
-      auto st = amo_cas(t, l.off_table(slot), 0, key, &prev);
-      if (st != rdma::OpStatus::ok) return st;
-      if (prev == 0 || prev == key) {  // claimed fresh or already ours
-        *cell_off = l.off_table(slot);
-        return rdma::OpStatus::ok;
-      }
-      if (prev == kTombstone) {  // reclaim the erased top cell
-        bool won = false;
-        st = reclaim_cell(t, l.off_table(slot), key, value, &won);
-        if (st != rdma::OpStatus::ok) return st;
-        if (won) {
-          *cell_off = l.off_table(slot);
-          *published = true;
-          return rdma::OpStatus::ok;
-        }
-        bo.pause();  // lost the reclaim race: re-examine the slot
-        fabric_->yield_check();
-        continue;
-      }
-    } else {
-      std::uint64_t top = 0;
-      const auto st = amo_read(t, l.off_table(slot), &top);
-      if (st != rdma::OpStatus::ok) return st;
-      if (top == key) {
-        *cell_off = l.off_table(slot);
-        return rdma::OpStatus::ok;
-      }
-      if (top == 0) return rdma::OpStatus::ok;  // slot never claimed: miss
-    }
-
-    // Walk the overflow chain (atomic one-sided reads, as fig7a).
-    std::uint64_t head = 0;
-    auto st = amo_read(t, l.off_chain(slot), &head);
-    if (st != rdma::OpStatus::ok) return st;
-    while (head != 0) {
-      const auto idx = static_cast<std::size_t>(head - 1);
-      std::uint64_t k = 0;
-      st = amo_read(t, l.off_heap(idx), &k);
-      if (st != rdma::OpStatus::ok) return st;
-      if (k == key) {
-        *cell_off = l.off_heap(idx);
-        return rdma::OpStatus::ok;
-      }
-      if (claim && k == kTombstone) {  // reclaim an erased chain cell
-        bool won = false;
-        st = reclaim_cell(t, l.off_heap(idx), key, value, &won);
-        if (st != rdma::OpStatus::ok) return st;
-        if (won) {
-          *cell_off = l.off_heap(idx);
-          *published = true;
-          return rdma::OpStatus::ok;
-        }
-      }
-      st = amo_read(t, l.off_cell_next(idx), &head);
-      if (st != rdma::OpStatus::ok) return st;
-    }
-    if (!claim) return rdma::OpStatus::ok;  // exhausted: miss
-
-    // Fresh overflow insert: acquire a cell, publish it fully formed
-    // (version already even and nonzero, value in place), then link it at
-    // the chain head — reachable implies readable, no seqlock pass needed.
-    const std::uint64_t one = 1;
-    std::uint64_t idx = 0;
-    auto freq = win_.rfetch_and_op(&one, &idx, Elem::u64, RedOp::sum, t,
-                                   l.off_next_free());
-    st = wait_req(freq);
-    if (st != rdma::OpStatus::ok) return st;
-    FOMPI_REQUIRE(idx < l.heap_slots, ErrClass::no_mem,
-                  "kv shard overflow heap exhausted");
-    const std::uint64_t cell[3] = {key, 2, value};
-    auto preq =
-        win_.rput(cell, 24, t, l.off_heap(static_cast<std::size_t>(idx)));
-    st = wait_req(preq);  // cell words complete before the link lands
-    if (st != rdma::OpStatus::ok) return st;
-    while (true) {
-      std::uint64_t chead = 0;
-      st = amo_read(t, l.off_chain(slot), &chead);
-      if (st != rdma::OpStatus::ok) return st;
-      auto nreq = win_.rput(&chead, 8, t,
-                            l.off_cell_next(static_cast<std::size_t>(idx)));
-      st = wait_req(nreq);
-      if (st != rdma::OpStatus::ok) return st;
-      std::uint64_t prev = 0;
-      st = amo_cas(t, l.off_chain(slot), chead, idx + 1, &prev);
-      if (st != rdma::OpStatus::ok) return st;
-      if (prev == chead) break;
+  while (!op.step()) {
+    if (op.backoff) {
       bo.pause();
       fabric_->yield_check();
+      continue;
     }
-    *cell_off = l.off_heap(static_cast<std::size_t>(idx));
-    *published = true;
-    return rdma::OpStatus::ok;
+    for (std::size_t i = 0; i < op.pending(); ++i) {
+      if (op.awaitable(i)) op.settle(i, wait_req(op.request(i)));
+    }
   }
+  return op.status;
 }
-
-// --- region-level ops --------------------------------------------------------
-
-rdma::OpStatus KvStore::write_region(int t, int shard, bool replica,
-                                     std::uint64_t key, std::uint64_t value,
-                                     bool is_erase) {
-  std::size_t cell = 0;
-  bool published = false;
-  const auto st =
-      locate(t, layout_for(shard, replica), key, /*claim=*/!is_erase, value,
-             &cell, &published);
-  if (st != rdma::OpStatus::ok) return st;
-  if (cell == 0) return rdma::OpStatus::ok;  // erase of an absent key
-  if (published) {  // the claim wrote the value; just invalidate caches
-    return amo_add(t, epoch_off(shard, replica), 1);
-  }
-  return seq_write(t, shard, replica, cell, is_erase ? kTombstone : value);
-}
-
-// --- client ops --------------------------------------------------------------
 
 namespace {
 void require_user_key(std::uint64_t key) {
@@ -572,66 +466,32 @@ void require_user_key(std::uint64_t key) {
 rdma::OpStatus KvStore::data_loss_on(int /*shard*/) {
   // The addressed shard's owner AND replica are dead: under fail-stop the
   // frozen images stay readable, but serving them would hand out values
-  // that can never be repaired or invalidated — retire typed instead.
+  // that can never be repaired or invalidated — retire typed instead. A
+  // stale table can name two dead copies of a shard that was healed onto
+  // live ones, so the generation decides first.
+  const auto gst = check_generation();
+  if (gst != rdma::OpStatus::ok) return gst;
   ++stats_.data_loss_ops;
   return rdma::OpStatus::data_loss;
 }
 
-rdma::OpStatus KvStore::put(std::uint64_t key, std::uint64_t value) {
-  require_user_key(key);
-  return write(key, value, /*is_erase=*/false);
-}
-
-rdma::OpStatus KvStore::erase(std::uint64_t key) {
-  require_user_key(key);
-  return write(key, 0, /*is_erase=*/true);
-}
-
-rdma::OpStatus KvStore::write(std::uint64_t key, std::uint64_t value,
-                              bool is_erase) {
-  const auto gst = check_generation();
-  if (gst != rdma::OpStatus::ok) return gst;
-  const int shard = shard_of(key);
-  if (!degraded(shard) && !win_.peer_alive(owner_of(shard))) fail_over(shard);
-  if (degraded(shard)) {
-    const int rep = replica_of(shard);
-    if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    return write_region(rep, shard, /*replica=*/true, key, value, is_erase);
-  }
-  auto st = write_region(owner_of(shard), shard, false, key, value, is_erase);
-  if (st == rdma::OpStatus::peer_dead) {
-    fail_over(shard);
-    const int rep = replica_of(shard);
-    if (!win_.peer_alive(rep)) return data_loss_on(shard);
-    return write_region(rep, shard, true, key, value, is_erase);
-  }
-  if (st != rdma::OpStatus::ok || !cfg_.replicate) return st;
-  const auto rst =
-      write_region(replica_of(shard), shard, true, key, value, is_erase);
-  if (rst == rdma::OpStatus::peer_dead) {
-    return rdma::OpStatus::ok;  // primary holds the write: absorbed
-  }
-  return rst;
-}
-
-// --- get: one read for blocking and fleet clients ----------------------------
+// --- get ------------------------------------------------------------------------
 //
-// A get is a few rounds; each round's ops (at most three) overlap on the
-// wire, and the next round is issued only once all of them retired. GetOp
-// is the whole read — routing, generation and cache checks, cell snapshot,
-// chain walk, seqlock retries, failover — as a state machine: step()
-// consumes the settled round and issues the next. get() runs it on the
-// calling thread; a ClientFiber parks on the same handles. Remote rounds:
+// GetOp is the whole read: routing, generation and cache checks, cell
+// snapshot, chain walk, seqlock retries, failover. Remote rounds:
 //   warm hit         {epoch}                            1 AMO
 //   unclaimed slot   {epoch, v1} > top rget             2 AMOs + 1 get
 //   top-cell key     {epoch, v1} > top rget > v2        3 AMOs + 1 get
 //   k-hop chain key  {epoch, v1} > top rget > head > k hop rgets
-//                    > v1 > cell rget > v2              5 AMOs + (k+2) gets
+//                    > {v1, cell rget} > v2             5 AMOs + (k+2) gets
 // v1 joins the epoch round only for uncached keys (a cached key expects a
-// hit); once a death was observed the generation read joins it too.
+// hit); once a death was observed the generation read joins it too. Every
+// later snapshot — a chain cell, a cached key that missed, a seqlock retry
+// — issues v1 and the rget in one round: the round applies them in order,
+// so a writer can only tear the one round trip to v2.
 
-struct KvStore::GetOp {
-  explicit GetOp(KvStore& kv) : kv(kv) {}
+struct KvStore::GetOp final : RoundOp {
+  explicit GetOp(KvStore& kv) : RoundOp(kv) {}
 
   void start(std::uint64_t k) {
     require_user_key(k);
@@ -642,14 +502,12 @@ struct KvStore::GetOp {
     value = 0;
   }
 
-  /// Consumes the settle()d round and issues the next; true once the get
-  /// retired (status, found, value and hit are then final). No pending()
-  /// ops with `backoff` set means: pause, then step() again.
-  bool step() {
+  bool step() override {
     backoff = false;
-    if (phase >= Phase::v1 && phase <= Phase::hop &&
-        sts[0] != rdma::OpStatus::ok) {
-      return fail(sts[0]);
+    if (phase >= Phase::cell && phase <= Phase::hop) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (sts[i] != rdma::OpStatus::ok) return fail(sts[i]);
+      }
     }
     switch (phase) {
       case Phase::route:
@@ -662,9 +520,7 @@ struct KvStore::GetOp {
       case Phase::probe:
         return probed();
       case Phase::reread:
-        return read_word(cell_off + kVerOff, &v1, Phase::v1);
-      case Phase::v1:
-        return read_cell(cell_off, /*with_next=*/false, Phase::cell);
+        return snapshot(cell_off);
       case Phase::cell:
         if (cell.key != key) {
           // A claimed top slot never empties, so an empty one has no chain;
@@ -694,8 +550,7 @@ struct KvStore::GetOp {
       case Phase::hop:
         if (cell.key == key) {  // snapshot the matching chain cell
           in_chain = true;
-          cell_off = l.off_heap(static_cast<std::size_t>(head - 1));
-          return read_word(cell_off + kVerOff, &v1, Phase::v1);
+          return snapshot(l.off_heap(static_cast<std::size_t>(head - 1)));
         }
         head = cell.next;
         [[fallthrough]];
@@ -709,38 +564,35 @@ struct KvStore::GetOp {
     return true;
   }
 
-  /// Ops of the round in flight: await each, settle() its status.
-  std::size_t pending() const noexcept { return n; }
-  core::RmaRequest& request(std::size_t i) noexcept { return reqs[i]; }
-  void settle(std::size_t i, rdma::OpStatus st) noexcept { sts[i] = st; }
-
-  bool backoff = false;
   bool found = false;
   bool hit = false;  ///< served from the epoch-validated cache
-  rdma::OpStatus status = rdma::OpStatus::ok;
   std::uint64_t value = 0;
 
  private:
-  // Single-op rounds are v1..hop; route, probe and reread read no status.
-  enum class Phase { route, probe, reread, v1, cell, v2, head, hop, done };
-  static constexpr std::size_t kUnset = 3;  ///< op not in the first round
+  // Rounds of cell..hop fail on any op's status; route, probe and reread
+  // read none.
+  enum class Phase { route, probe, reread, cell, v2, head, hop, done };
 
   std::size_t sh() const { return static_cast<std::size_t>(shard); }
-  std::size_t amo(int target, std::size_t off, std::uint64_t* v) {
-    reqs[n] = kv.win_.rfetch_and_op(nullptr, v, Elem::u64, RedOp::no_op,
-                                    target, off);
-    return n++;
-  }
   bool read_word(std::size_t off, std::uint64_t* v, Phase next) {
     n = 0;
-    amo(t, off, v);
+    read(t, off, v);
     phase = next;
     return false;
   }
   bool read_cell(std::size_t off, bool with_next, Phase next) {
     n = 0;
-    reqs[n++] = kv.rget_cell(t, off, &cell, with_next);
+    issue(kv.rget_cell(t, off, &cell, with_next));
     phase = next;
+    return false;
+  }
+  /// {v1, cell rget} of the cell at `off`, in that order.
+  bool snapshot(std::size_t off) {
+    cell_off = off;
+    n = 0;
+    read(t, off + kVerOff, &v1);
+    issue(kv.rget_cell(t, off, &cell, /*with_next=*/false));
+    phase = Phase::cell;
     return false;
   }
   bool pause() {
@@ -762,13 +614,13 @@ struct KvStore::GetOp {
     stuck = 0;
     n = 0;
     gen_i = ep_i = v1_i = kUnset;
-    if (kv.routing_suspect()) gen_i = amo(kv.cfg_.routing_rank, 0, &g);
+    if (kv.routing_suspect()) gen_i = read(kv.cfg_.routing_rank, 0, &g);
     // Degraded reads bypass the cache: primary-stamped epochs cannot be
     // validated against the replica.
     const bool cached = kv.cfg_.client_cache && !deg;
-    if (cached) ep_i = amo(t, kv.epoch_off(shard, false), &ep);
+    if (cached) ep_i = read(t, kv.epoch_off(shard, false), &ep);
     if (!cached || kv.cache_[sh()].count(key) == 0) {
-      v1_i = amo(t, cell_off + kVerOff, &v1);
+      v1_i = read(t, cell_off + kVerOff, &v1);
     }
     phase = Phase::probe;
     return false;
@@ -797,7 +649,7 @@ struct KvStore::GetOp {
       ++kv.stats_.cache_misses;
       count(Op::kv_cache_miss);
     }
-    if (v1_i == kUnset) return read_word(cell_off + kVerOff, &v1, Phase::v1);
+    if (v1_i == kUnset) return snapshot(cell_off);
     if (sts[v1_i] != rdma::OpStatus::ok) return fail(sts[v1_i]);
     return read_cell(cell_off, /*with_next=*/false, Phase::cell);
   }
@@ -822,48 +674,518 @@ struct KvStore::GetOp {
     return true;
   }
 
-  KvStore& kv;
   std::uint64_t key = 0;
   Phase phase = Phase::done;
   int shard = 0, t = 0, stuck = 0;
   bool deg = false, in_chain = false;
   bool ep_valid = false;  ///< `ep` was read in this get's first round
-  std::size_t slot = 0, cell_off = 0, n = 0;
+  std::size_t slot = 0, cell_off = 0;
   std::size_t gen_i = kUnset, ep_i = kUnset, v1_i = kUnset;
   BucketLayout l;
   std::uint64_t g = 0, ep = 0, v1 = 0, v2 = 0, head = 0;
   CellWords cell;
-  core::RmaRequest reqs[3];
-  rdma::OpStatus sts[3] = {};
 };
 
 rdma::OpStatus KvStore::get(std::uint64_t key, std::uint64_t* value,
                             bool* found) {
   GetOp op(*this);
   op.start(key);
-  Backoff bo;
-  while (!op.step()) {
-    if (op.backoff) {
-      bo.pause();
-      fabric_->yield_check();
-      continue;
-    }
-    for (std::size_t i = 0; i < op.pending(); ++i) {
-      op.settle(i, wait_req(op.request(i)));
-    }
-  }
+  const auto st = run(op);
   *value = op.value;
   *found = op.found;
-  return op.status;
+  return st;
+}
+
+// --- put / erase ------------------------------------------------------------------
+//
+// PutOp is the whole write: routing, generation check, failover, and the
+// cell protocol on the primary and the replica copy in lockstep — each
+// round carries both copies' ops, so the replica costs injection overhead,
+// not round trips. Per copy:
+//   cold top-cell put  {version, claim CAS} > lock CAS > value write
+//                      > {release CAS, epoch + 1}         6 AMOs, 4 rounds
+//   warm (hinted) put  lock CAS > value write > {release, epoch}
+//                                                         4 AMOs, 3 rounds
+//   chain key          {version, claim} > head > one {key, ver, val, next}
+//                      rget per hop > {lock CAS, key read} > value
+//                      > {release, epoch}                 walk + 3 rounds
+//   new chain key      walk > fetch-add next_free > cell rput (linked to
+//                      the head the walk read) > {head CAS, epoch}; a head
+//                      that moved costs a link rput and another CAS
+//   tombstone reclaim  as an update; the value round also writes the key
+//   erase              as a put, with a key read for the claim; the value
+//                      round tombstones the key word
+// Once a death was observed the generation read joins the first round.
+//
+// Why one lock CAS per write is enough:
+//   * the claim round's version read is issued before the claim, so a lock
+//     CAS expecting that version proves nobody locked the cell — hence
+//     nobody rekeyed it, only lock holders do — since the claim saw the key;
+//   * versions only grow, so a hint {cell, version this client released}
+//     is self-validating: a lock CAS expecting it succeeds only if nobody
+//     touched the cell since. A hint is never a reason to skip the lock;
+//   * any other expected version — a chain hop's rget, which reads key and
+//     version in no guaranteed order, or the version a lost CAS returned —
+//     comes with the key re-read behind the CAS, under the lock: a key that
+//     moved releases the cell and starts the copy over.
+// So a lost lock CAS retries at once with the version it returned (a stale
+// hint costs no round over the cold path); a locked cell makes the copy
+// pause (a fleet fiber backs off through its scheduler), then expect the
+// holder's release, revoking a dead writer's lock after kRevokeSpins
+// pauses once a death was observed. The value write completes before its
+// release is issued, and the epoch bump rides the release round.
+
+struct KvStore::PutOp final : RoundOp {
+  explicit PutOp(KvStore& kv) : RoundOp(kv) {}
+
+  /// put or erase of `k` through the routing table, both copies.
+  void start(std::uint64_t k, std::uint64_t v, bool is_erase) {
+    require_user_key(k);
+    begin(k, v, is_erase);
+  }
+  /// put into one copy, without routing checks or failover.
+  void start_copy(std::uint64_t k, bool replica, std::uint64_t v) {
+    begin(k, v, /*is_erase=*/false);
+    one_copy = true;
+    copy_replica = replica;
+  }
+
+  bool step() override {
+    backoff = false;
+    rdma::OpStatus got[kMaxOps] = {};
+    std::copy(sts, sts + n, got);
+    n = 0;
+    if (!routed) return route(got);
+    if (gen_i != kUnset) {
+      const std::size_t gi = std::exchange(gen_i, kUnset);
+      if (got[gi] != rdma::OpStatus::ok) return unwind(got[gi], got);
+      if (g != kv.gen_seen_) return unwind(kv.handle_gen_mismatch(g), got);
+    }
+    for (Side& s : sides) {
+      if (s.ph != Phase::done && !s.wait) advance(s, got);
+    }
+    bool waiting = false;
+    for (Side& s : sides) waiting = std::exchange(s.wait, false) || waiting;
+    if (n > 0) return false;  // a busy copy sat this round out
+    if (waiting) {            // only busy copies left: pause, then retry
+      backoff = true;
+      return false;
+    }
+    return finish();
+  }
+
+  bool critical() const override {
+    for (const Side& s : sides) {
+      if (s.ph == Phase::lock || s.ph == Phase::value) return true;
+    }
+    return false;
+  }
+
+ private:
+  enum class Phase {
+    open,     // nothing in flight: issue the first round
+    relock,   // paused on a locked cell: expect the holder's release
+    claim,    // {version, claim CAS | key read} of the top cell
+    lock,     // lock CAS (+ key read behind it, see above)
+    value,    // value write (+ key write on a reclaim)
+    release,  // release CAS (+ epoch bump after a write)
+    head,     // chain head read
+    hop,      // one chain cell rget
+    alloc,    // fetch-add next_free for a new chain cell
+    fill,     // new cell rput
+    link,     // head CAS (+ epoch bump on the first attempt)
+    relink,   // new cell's next rput after a lost head CAS
+    done,
+  };
+
+  /// One copy's progress through the cell protocol.
+  struct Side {
+    Phase ph = Phase::done;
+    bool used = false;     ///< this copy takes the write
+    bool replica = false;
+    bool wait = false;     ///< cell busy: sit a round out, then relock
+    bool check = false;    ///< the lock round re-reads the key
+    bool reclaim = false;  ///< the locked cell holds a tombstone to rekey
+    bool held = false;     ///< the lock is ours
+    bool redo = false;     ///< rekeyed before our lock: release, start over
+    int t = 0, stuck = 0;
+    std::size_t first = 0, ops = 0;  ///< this copy's ops in the round
+    std::size_t cell = 0, ep = 0;
+    BucketLayout l;
+    std::uint64_t ver = 0;  ///< version the lock CAS expects
+    std::uint64_t word = 0, prev = 0, head = 0, hop = 0, idx = 0;
+    std::uint64_t fresh[4] = {};  ///< new chain cell {key, ver, val, next}
+    CellWords c;
+    rdma::OpStatus st = rdma::OpStatus::ok;
+  };
+
+  void begin(std::uint64_t k, std::uint64_t v, bool is_erase) {
+    key = k;
+    value = v;
+    erase = is_erase;
+    routed = aborted = one_copy = copy_replica = false;
+    status = abort_st = rdma::OpStatus::ok;
+    gen_i = kUnset;
+    n = 0;
+    for (Side& s : sides) s = Side{};
+  }
+
+  std::size_t sh() const { return static_cast<std::size_t>(shard); }
+
+  bool route(const rdma::OpStatus* got) {
+    routed = true;
+    shard = kv.shard_of(key);
+    slot = kv.slot_of(key);
+    if (one_copy) {
+      init(copy_replica);
+    } else {
+      if (!kv.degraded(shard) && !kv.win_.peer_alive(kv.owner_of(shard))) {
+        kv.fail_over(shard);
+      }
+      if (kv.degraded(shard)) {
+        if (!kv.win_.peer_alive(kv.replica_of(shard))) {
+          status = kv.data_loss_on(shard);
+          return true;
+        }
+        init(/*replica=*/true);
+      } else {
+        init(/*replica=*/false);
+        if (kv.cfg_.replicate) init(/*replica=*/true);
+      }
+      if (kv.routing_suspect()) gen_i = read(kv.cfg_.routing_rank, 0, &g);
+    }
+    for (Side& s : sides) {
+      if (s.used) advance(s, got);
+    }
+    return false;
+  }
+
+  void init(bool replica) {
+    Side& s = sides[replica ? 1 : 0];
+    s = Side{};
+    s.used = true;
+    s.replica = replica;
+    s.t = replica ? kv.replica_of(shard) : kv.owner_of(shard);
+    s.l = kv.layout_for(shard, replica);
+    s.ep = kv.epoch_off(shard, replica);
+    s.ph = Phase::open;
+  }
+
+  /// Consumes the copy's settled ops and issues its next ones.
+  void advance(Side& s, const rdma::OpStatus* got) {
+    const std::size_t f = s.first, k = s.ops;
+    s.first = n;
+    consume(s, got + f, k);
+    s.ops = n - s.first;
+  }
+
+  void consume(Side& s, const rdma::OpStatus* st, std::size_t k) {
+    rdma::OpStatus bad = rdma::OpStatus::ok;
+    for (std::size_t i = 0; i < k && bad == rdma::OpStatus::ok; ++i) {
+      bad = st[i];
+    }
+    if (s.ph == Phase::open) return open(s);
+    if (s.ph == Phase::relock) return lock(s, s.cell, s.ver, true, s.reclaim);
+    if (s.ph == Phase::lock) {
+      if (st[0] != rdma::OpStatus::ok) return fail(s, st[0]);
+      s.held = s.prev == s.ver;
+      if (!s.held) return lost(s);
+    }
+    if (bad != rdma::OpStatus::ok) return fail(s, bad);
+    switch (s.ph) {
+      case Phase::claim:
+        return claimed(s);
+      case Phase::lock:
+        if (s.check) {
+          // The key under our lock decides: ours is an update, the
+          // tombstone we came to reclaim a reclaim; anything else moved in.
+          if (s.word == key) {
+            s.reclaim = false;
+          } else if (!s.reclaim || s.word != kTombstone) {
+            s.redo = true;
+            return release(s, /*wrote=*/false);
+          }
+        }
+        return write_value(s);
+      case Phase::value:
+        return release(s, /*wrote=*/true);
+      case Phase::release:
+        if (s.redo) {
+          forget(s, 0);
+          return open(s);
+        }
+        s.ph = Phase::done;
+        return;
+      case Phase::head:
+        return walk(s, s.head);
+      case Phase::hop: {
+        const std::size_t cell = s.l.off_heap(s.hop - 1);
+        if (s.c.key == key) return lock(s, cell, s.c.ver, true, false);
+        if (!erase && s.c.key == kTombstone) {
+          return lock(s, cell, s.c.ver, true, true);
+        }
+        return walk(s, s.c.next);
+      }
+      case Phase::alloc:
+        FOMPI_REQUIRE(s.idx < s.l.heap_slots, ErrClass::no_mem,
+                      "kv shard overflow heap exhausted");
+        // Published fully formed — version even and nonzero, value in
+        // place, linked behind the head the walk read — then made
+        // reachable: no seqlock pass needed.
+        s.cell = s.l.off_heap(s.idx);
+        s.fresh[0] = key;
+        s.fresh[1] = 2;
+        s.fresh[2] = value;
+        s.fresh[3] = s.head;
+        s.ph = Phase::fill;
+        issue(kv.win_.rput(s.fresh, sizeof(s.fresh), s.t, s.cell));
+        return;
+      case Phase::fill:
+        s.ph = Phase::link;
+        cas(s.t, s.l.off_chain(slot), s.head, s.idx + 1, &s.prev);
+        add(s.t, s.ep, 1);
+        return;
+      case Phase::link:
+        if (s.prev == s.head) {
+          remember(s, 2);
+          s.ph = Phase::done;
+          return;
+        }
+        s.head = s.prev;  // another insert linked first: chain behind it
+        s.ph = Phase::relink;
+        issue(kv.win_.rput(&s.head, 8, s.t, s.l.off_cell_next(s.idx)));
+        return;
+      case Phase::relink:
+        s.ph = Phase::link;
+        cas(s.t, s.l.off_chain(slot), s.head, s.idx + 1, &s.prev);
+        return;
+      case Phase::open:
+      case Phase::relock:
+      case Phase::done:
+        return;
+    }
+  }
+
+  /// First round: the hinted lock CAS, or the top cell's {version, claim}.
+  void open(Side& s) {
+    s.held = s.redo = false;
+    const auto& hints = kv.hints_[sh()];
+    const int c = s.replica ? 1 : 0;
+    if (const auto it = hints.find(key);
+        it != hints.end() && it->second.ver[c] != 0) {
+      return lock(s, it->second.cell[c], it->second.ver[c], false, false);
+    }
+    s.cell = s.l.off_table(slot);
+    s.ph = Phase::claim;
+    read(s.t, s.cell + kVerOff, &s.ver);  // before the claim: see above
+    if (erase) {
+      read(s.t, s.cell, &s.word);
+    } else {
+      cas(s.t, s.cell, 0, key, &s.word);
+    }
+  }
+
+  void claimed(Side& s) {
+    const std::uint64_t w = s.word;
+    if (w == key || (!erase && w == 0)) {
+      return lock(s, s.cell, s.ver, false, false);
+    }
+    if (!erase && w == kTombstone) return lock(s, s.cell, s.ver, false, true);
+    if (w == 0) {  // erase: a claimed top slot never empties, so no chain
+      s.ph = Phase::done;
+      return;
+    }
+    s.ph = Phase::head;
+    read(s.t, s.l.off_chain(slot), &s.head);
+  }
+
+  void lock(Side& s, std::size_t cell, std::uint64_t ver, bool check,
+            bool reclaim) {
+    s.cell = cell;
+    s.ver = ver;
+    s.check = check;
+    s.reclaim = reclaim;
+    if ((ver & 1) != 0) return busy(s, ver);
+    s.ph = Phase::lock;
+    cas(s.t, cell + kVerOff, ver, ver + 1, &s.prev);
+    if (check) read(s.t, cell, &s.word);  // behind the CAS: under our lock
+  }
+
+  /// The lock CAS lost; s.prev is the cell's current version.
+  void lost(Side& s) {
+    forget(s, s.ver);  // written since: a hint expecting s.ver is stale
+    lock(s, s.cell, s.prev, /*check=*/true, s.reclaim);
+  }
+
+  /// Locked by another writer: sit out, then expect its release. A writer
+  /// that died holding the lock leaves it odd for good; revocation failing
+  /// typed means the cell's own host is dead.
+  void busy(Side& s, std::uint64_t locked) {
+    count(Op::retry);
+    if (++s.stuck > kRevokeSpins) {
+      if (kv.maybe_revoke(s.t, s.cell + kVerOff, locked) ==
+          rdma::OpStatus::peer_dead) {
+        return fail(s, rdma::OpStatus::peer_dead);
+      }
+      s.stuck = 0;
+    }
+    s.ver = locked + 1;
+    s.wait = true;
+    s.ph = Phase::relock;
+  }
+
+  void write_value(Side& s) {
+    s.ph = Phase::value;
+    if (erase) {
+      write(s.t, s.cell, kTombstone);  // readers miss; the value stays
+      return;
+    }
+    write(s.t, s.cell + kValOff, value);
+    // Value before key, so no snapshot pairs the new key with the erased
+    // key's value — not even after a revoked lock of a writer that died
+    // between the two.
+    if (s.reclaim) write(s.t, s.cell, key);
+  }
+
+  void release(Side& s, bool wrote) {
+    s.held = false;
+    s.ph = Phase::release;
+    cas(s.t, s.cell + kVerOff, s.ver + 1, s.ver + 2, &s.prev);
+    if (!wrote) return;
+    add(s.t, s.ep, 1);  // invalidates every client's cached view: one AMO
+    if (erase) {
+      forget(s, 0);
+    } else {
+      remember(s, s.ver + 2);
+    }
+  }
+
+  void walk(Side& s, std::uint64_t link) {
+    if (link == 0) {  // chain exhausted: the key is absent
+      if (erase) {
+        s.ph = Phase::done;
+        return;
+      }
+      const std::uint64_t one = 1;
+      s.ph = Phase::alloc;
+      issue(kv.win_.rfetch_and_op(&one, &s.idx, Elem::u64, RedOp::sum, s.t,
+                                  s.l.off_next_free()));
+      return;
+    }
+    s.hop = link;
+    s.ph = Phase::hop;
+    issue(kv.rget_cell(s.t, s.l.off_heap(link - 1), &s.c, /*with_next=*/true));
+  }
+
+  void fail(Side& s, rdma::OpStatus st) {
+    if (s.st == rdma::OpStatus::ok) s.st = st;
+    // Release even on failure so a typed fault does not wedge the cell.
+    if (s.held) return release(s, /*wrote=*/false);
+    s.ph = Phase::done;
+  }
+
+  /// Records the version this client released at s.cell for the key.
+  void remember(const Side& s, std::uint64_t ver) {
+    Hint& h = kv.hints_[sh()][key];
+    const int c = s.replica ? 1 : 0;
+    if (h.cell[c] != s.cell || ver > h.ver[c]) {
+      h.cell[c] = s.cell;
+      h.ver[c] = ver;
+    }
+  }
+  /// Drops the copy's hint when it expects `ver` (any version for 0).
+  void forget(const Side& s, std::uint64_t ver) {
+    auto& hints = kv.hints_[sh()];
+    const auto it = hints.find(key);
+    if (it == hints.end()) return;
+    const int c = s.replica ? 1 : 0;
+    if (ver == 0 || it->second.ver[c] == ver) it->second.ver[c] = 0;
+    if (it->second.ver[0] == 0 && it->second.ver[1] == 0) hints.erase(it);
+  }
+
+  /// A failed generation check retires the op: the hinted first round may
+  /// already hold locks, which are released unwritten.
+  bool unwind(rdma::OpStatus st, const rdma::OpStatus* got) {
+    aborted = true;
+    abort_st = st;
+    for (Side& s : sides) {
+      const bool held = s.ph == Phase::lock &&
+                        got[s.first] == rdma::OpStatus::ok && s.prev == s.ver;
+      s.ph = Phase::done;
+      if (!held) continue;
+      s.first = n;
+      release(s, /*wrote=*/false);
+      s.ops = n - s.first;
+    }
+    return n > 0 ? false : finish();
+  }
+
+  /// Every copy is done: the op's status by write()'s rule. A dead primary
+  /// fails over to the replica's status; a dead replica is absorbed; both
+  /// dead is data_loss.
+  bool finish() {
+    const Side& p = sides[0];
+    const Side& r = sides[1];
+    if (aborted) {
+      status = abort_st;
+    } else if (one_copy) {
+      status = copy_replica ? r.st : p.st;
+    } else if (!p.used) {
+      status = r.st;  // degraded: the replica took the write alone
+    } else if (p.st == rdma::OpStatus::peer_dead) {
+      kv.fail_over(shard);
+      if (!kv.win_.peer_alive(kv.replica_of(shard))) {
+        status = kv.data_loss_on(shard);
+      } else if (!r.used) {  // unreplicated: the replica region takes it
+        init(/*replica=*/true);
+        const rdma::OpStatus none[kMaxOps] = {};
+        advance(sides[1], none);
+        return false;
+      } else {
+        status = r.st;
+      }
+    } else if (p.st != rdma::OpStatus::ok) {
+      status = p.st;
+    } else {
+      status = r.st == rdma::OpStatus::peer_dead ? rdma::OpStatus::ok : r.st;
+    }
+    return true;
+  }
+
+  std::uint64_t key = 0, value = 0, g = 0;
+  bool erase = false, routed = false, aborted = false;
+  bool one_copy = false, copy_replica = false;
+  int shard = 0;
+  std::size_t slot = 0, gen_i = kUnset;
+  rdma::OpStatus abort_st = rdma::OpStatus::ok;
+  Side sides[2];  ///< [0] primary copy, [1] replica copy
+};
+
+rdma::OpStatus KvStore::put(std::uint64_t key, std::uint64_t value) {
+  PutOp op(*this);
+  op.start(key, value, /*is_erase=*/false);
+  return run(op);
+}
+
+rdma::OpStatus KvStore::erase(std::uint64_t key) {
+  PutOp op(*this);
+  op.start(key, 0, /*is_erase=*/true);
+  return run(op);
+}
+
+rdma::OpStatus KvStore::debug_write_copy(std::uint64_t key, bool replica,
+                                         std::uint64_t value) {
+  PutOp op(*this);
+  op.start_copy(key, replica, value);
+  return run(op);
 }
 
 // --- closed-loop client fleet -------------------------------------------------
 //
-// Each fiber pulls ops off a shared per-rank cursor. Gets run the GetOp
-// above, the fiber parking on each round's handles, so one rank keeps
-// `fibers` reads in flight through cache checks, snapshots, chain walks
-// and failover alike. Writes run the blocking put, then let the reads
-// whose rounds retired during it advance first.
+// Each fiber pulls ops off a shared per-rank cursor and runs the GetOp or
+// PutOp above, parking on each round's handles, so one rank keeps `fibers`
+// ops in flight through cache checks, snapshots, chain walks, lock waits
+// and failover alike.
 
 struct KvStore::ClientFiber final : fabric::progress::Fiber {
   struct FleetOp {
@@ -873,7 +1195,7 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
 
   ClientFiber(KvStore& kv, const std::vector<FleetOp>& ops,
               std::size_t* cursor, FleetResult* res)
-      : kv(kv), ops(ops), cursor(cursor), res(res), read(kv) {}
+      : kv(kv), ops(ops), cursor(cursor), res(res), read(kv), write(kv) {}
 
   void record(bool is_read, std::uint64_t t0, rdma::OpStatus st) {
     // Retirement identity: every pulled op lands in exactly one bucket, so
@@ -905,26 +1227,30 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
       ++res->issued;
       t0 = now_ns();
       target = kv.owner_of(kv.shard_of(ops[at].key));  // trace label
-      if (!ops[at].is_read) {
-        record(false, t0, kv.put(ops[at].key, ops[at].key * 31 + 7));
-        // Due now, so the heap wakes the earlier-due parked reads first.
-        FOMPI_FIBER_BACKOFF(s, 0);
-        continue;
+      if (ops[at].is_read) {
+        read.start(ops[at].key);
+        op = &read;
+      } else {
+        write.start(ops[at].key, ops[at].key * 31 + 7, /*is_erase=*/false);
+        op = &write;
       }
-      read.start(ops[at].key);
-      while (!read.step()) {
-        if (read.backoff) {
+      while (!op->step()) {
+        // A write round that may hold a cell lock jumps the runnable
+        // queue on wakeup: readers and writers of that cell wait on it.
+        set_urgent(op->critical());
+        if (op->backoff) {
           FOMPI_FIBER_BACKOFF(s, kFiberBackoffNs);
           continue;
         }
-        for (hi = 0; hi < read.pending(); ++hi) {
-          FOMPI_FIBER_AWAIT(s, read.request(hi).handles()[0]);
-          read.request(hi).dismiss();
-          read.settle(hi, wake_status());
+        for (hi = 0; hi < op->pending(); ++hi) {
+          if (!op->awaitable(hi)) continue;
+          FOMPI_FIBER_AWAIT(s, op->request(hi).handles()[0]);
+          op->request(hi).dismiss();
+          op->settle(hi, wake_status());
         }
       }
-      if (read.hit) ++res->cache_hits;
-      record(true, t0, read.status);
+      if (ops[at].is_read && read.hit) ++res->cache_hits;
+      record(ops[at].is_read, t0, op->status);
     }
     FOMPI_FIBER_END();
   }
@@ -934,6 +1260,8 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
   std::size_t* cursor;
   FleetResult* res;
   GetOp read;
+  PutOp write;
+  RoundOp* op = nullptr;
   std::size_t at = 0, hi = 0;
   std::uint64_t t0 = 0;
   int target = 0;

@@ -11,12 +11,14 @@
 //     seqlock over RMA (odd = write in progress). The reader reads v1, the
 //     {key, version, value} cell with ONE rget, then v2, and retries on
 //     mismatch; version 0 means the insert has not linearized (a miss).
-//   * put / erase — remote-CAS chains: claim the key word (CAS), lock the
-//     cell (CAS version even -> odd), write the value (accumulate-replace,
-//     atomic), release (version + 2), then bump the shard's version-epoch
-//     word with a single AMO. New keys on the overflow path reuse the
-//     hashtable's fetch_add + link-at-head protocol; erase tombstones the
-//     key word so the slot can be reclaimed.
+//   * put / erase — remote-CAS rounds on both copies in lockstep: claim
+//     the key word (CAS) beside a version read, lock the cell (CAS version
+//     even -> odd), write the value (accumulate-replace, atomic), then
+//     release (version + 2) beside the shard's version-epoch bump. A
+//     per-client version hint turns the first two rounds into one lock CAS
+//     for a key this client wrote last. New keys on the overflow path
+//     reuse the hashtable's fetch_add + link-at-head protocol; erase
+//     tombstones the key word so the slot can be reclaimed.
 //   * client cache — per-shard epoch-stamped: all cached entries of a
 //     shard are valid exactly while the shard's epoch word is unchanged,
 //     so a cache hit costs ONE remote AMO (the epoch check) instead of the
@@ -42,9 +44,9 @@
 //     data_loss, never a stale frozen value.
 //
 // The closed-loop fleet (run_fleet) drives this with Zipfian keys from
-// fibers on the progress engine: every get parks on the rounds of the same
-// read the blocking get() runs, writes are taken blocking, and per-op-class
-// latencies land in trace LatencyHistos.
+// fibers on the progress engine: every get and put parks on the rounds of
+// the same op the blocking get()/put() runs, and per-op-class latencies
+// land in trace LatencyHistos.
 #pragma once
 
 #include <cstdint>
@@ -233,7 +235,9 @@ class KvStore {
   FleetResult run_fleet(fabric::RankCtx& ctx, const FleetConfig& fc);
 
  private:
+  struct RoundOp;
   struct GetOp;
+  struct PutOp;
   struct ClientFiber;
   struct DrainFiber;
   struct ScrubFiber;
@@ -308,27 +312,6 @@ class KvStore {
   rdma::OpStatus amo_add(int t, std::size_t off, std::uint64_t add);
   rdma::OpStatus amo_write(int t, std::size_t off, std::uint64_t v);
 
-  /// Locates key's cell in the region: *cell_off = byte offset of its
-  /// {key, version, value} words, 0 if absent. `claim` makes it claim a
-  /// cell for the key (top slot, tombstone reclaim, or fresh overflow
-  /// cell); *published reports that the claim already published `value`
-  /// (a freshly linked cell or a reclaimed tombstone), so only the epoch
-  /// bump remains.
-  rdma::OpStatus locate(int t, const BucketLayout& l, std::uint64_t key,
-                        bool claim, std::uint64_t value,
-                        std::size_t* cell_off, bool* published);
-  /// Seqlock lock: CAS the cell's version even -> odd. *ver is the even
-  /// version it held; release by writing *ver + 2.
-  rdma::OpStatus lock_cell(int t, std::size_t cell_off, std::uint64_t* ver);
-  /// Tombstone reclaim under the seqlock: lock, check the key word is
-  /// still the tombstone, write `value`, then `key`, release. *won is
-  /// false when a different key reclaimed the cell first.
-  rdma::OpStatus reclaim_cell(int t, std::size_t cell_off, std::uint64_t key,
-                              std::uint64_t value, bool* won);
-  /// Seqlock write of `value` into the located cell + epoch bump.
-  rdma::OpStatus seq_write(int t, int shard, bool replica,
-                           std::size_t cell_off, std::uint64_t value);
-
   /// A cell's words as one rget returns them (`next`: chain hops only).
   struct CellWords {
     std::uint64_t key = 0, ver = 0, val = 0, next = 0;
@@ -342,15 +325,13 @@ class KvStore {
                           std::uint64_t v2) {
     return (v1 & 1) == 0 && v1 == v2 && c.ver == v1;
   }
-  /// put/erase: primary, then the replica; failover on a dead owner.
-  rdma::OpStatus write(std::uint64_t key, std::uint64_t value, bool is_erase);
-  /// put/erase applied to one region (primary or replica copy).
-  rdma::OpStatus write_region(int t, int shard, bool replica,
-                              std::uint64_t key, std::uint64_t value,
-                              bool is_erase);
+  /// Runs `op` to completion on the calling thread; returns its status.
+  rdma::OpStatus run(RoundOp& op);
   /// Marks `shard` degraded (first peer_dead / liveness miss on its owner).
   void fail_over(int shard);
-  /// Retires an op addressed at a shard whose owner AND replica are dead.
+  /// Retires an op addressed at a shard whose owner AND replica are dead:
+  /// retry_routing when the generation moved (the table may be stale),
+  /// data_loss otherwise.
   rdma::OpStatus data_loss_on(int shard);
   /// Dead-writer seqlock recovery: force-release a version word left odd
   /// by a killed rank (only attempted once a death was observed).
@@ -372,6 +353,16 @@ class KvStore {
   // current epoch equals epoch_seen_[s].
   std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> cache_;
   std::vector<std::uint64_t> epoch_seen_;
+
+  // Version hints, per shard and key: the cell each copy ([0] primary,
+  // [1] replica) holds the key in and the version this client released
+  // there (0 = none). Only ever the expected value of a lock CAS; dropped
+  // with the cache when a shard's copies move.
+  struct Hint {
+    std::size_t cell[2] = {};
+    std::uint64_t ver[2] = {};
+  };
+  std::vector<std::unordered_map<std::uint64_t, Hint>> hints_;
   KvStats stats_;
 };
 

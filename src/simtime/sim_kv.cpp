@@ -11,6 +11,8 @@ namespace {
 constexpr int kUncachedOps = 4;
 // A top cell: {key, ver, val}.
 constexpr std::size_t kCellBytes = 24;
+// Dependent rounds of a cold top-cell put; both copies share them.
+constexpr int kPutRounds = 4;
 
 double amo_us(const KvParams& p) { return p.net.amo_latency_ns() / 1e3; }
 
@@ -36,8 +38,11 @@ double kv_read_p99_us(const KvParams& p, bool degraded) {
 }
 
 double kv_put_us(const KvParams& p, bool degraded) {
-  const int regions = (p.replicate && !degraded) ? 2 : 1;
-  return regions * p.put_amos * amo_us(p);
+  const int copies = (p.replicate && !degraded) ? 2 : 1;
+  const int extra_ops = copies * p.put_amos - kPutRounds;
+  return (kPutRounds * p.net.amo_latency_ns() +
+          extra_ops * p.net.inter_overhead_ns) /
+         1e3;
 }
 
 double kv_hot_shard_mass(const KvParams& p) {

@@ -21,8 +21,9 @@ struct KvParams {
   rdma::NetworkModel net{};
   /// Remote words touched by a cache-validated hit: the shard epoch check.
   int cached_amos = 1;
-  /// Remote ops of a put against one region: top CAS + lock CAS + value
-  /// write + release + epoch bump (+ the located read).
+  /// Remote ops of a cold top-cell put against one copy: {version read,
+  /// claim CAS}, lock CAS, value write, {release CAS, epoch bump} — four
+  /// dependent rounds.
   int put_amos = 6;
   bool replicate = true;     ///< puts fan out to the replica region (x2)
   double hit_rate = 0.80;    ///< healthy-mode cache hit fraction
@@ -54,9 +55,10 @@ double kv_read_us(const KvParams& p, bool degraded = false);
 /// distribution at the uncached cost.
 double kv_read_p99_us(const KvParams& p, bool degraded = false);
 
-/// Mean modeled put latency (us): per-region CAS-chain cost, doubled by
-/// write-through replication while the shard is healthy (degraded mode
-/// writes the surviving replica only).
+/// Modeled cold put latency (us): four AMO round trips. The replica
+/// copy's ops ride the same rounds while the shard is healthy, so
+/// replication adds one injection overhead per extra op in flight, not a
+/// round trip; degraded mode writes the surviving replica only.
 double kv_put_us(const KvParams& p, bool degraded = false);
 
 /// Probability mass of the hottest shard under the Zipf(s) key popularity

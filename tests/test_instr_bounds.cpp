@@ -174,18 +174,31 @@ TEST(InstrBounds, PscwMessageCountsMatchPaper) {
   }, opts);
 }
 
-// --- KV get budgets (DESIGN.md §12) ------------------------------------------
+// --- KV budgets (DESIGN.md §12) ---------------------------------------------
 //
-// One issuer (rank 1) against a single-shard store owned by rank 0, on the
-// inter-node path: every count below is an exact function of the protocol.
-// A cold get is a cell snapshot — {epoch, v1} overlapped, one cell rget,
-// v2 — and a chain walk reads each hop's {key, next} with one rget.
+// One issuer against single-shard stores on the inter-node path: every
+// count below is an exact function of the protocol. A round is a set of
+// ops issued together and awaited together (Op::kv_round).
+//
+// Gets (rank 1; owner rank 0): a cold get is a cell snapshot — {epoch, v1}
+// overlapped, one cell rget, v2 — and a chain walk reads each hop's
+// {key, next} with one rget.
+//
+// Puts (rank 2; owner rank 0, replica rank 1): both copies advance in
+// lockstep, so the replica's ops share every round. Per copy, a cold
+// top-cell put is {version, claim CAS} > lock CAS > value > {release,
+// epoch}, and a hinted put replaces the first two rounds with one lock CAS.
 
 namespace {
 
-struct KvGetCost {
-  std::uint64_t amos = 0, gets = 0;
+struct KvCost {
+  std::uint64_t amos = 0, gets = 0, puts = 0, rounds = 0;
 };
+
+KvCost cost_of(const OpCounters& d) {
+  return {d.get(Op::transport_amo), d.get(Op::transport_get),
+          d.get(Op::transport_put), d.get(Op::kv_round)};
+}
 
 /// Runs `body(store)` on rank 1 of a 2-rank fabric holding a one-shard
 /// store whose owner is rank 0.
@@ -205,9 +218,33 @@ void with_remote_store(kv::KvConfig cfg,
   }, opts);
 }
 
+/// Runs `setup(store)` on rank 1, then `body(store)` on rank 2, of a
+/// 3-rank fabric holding a one-shard store owned by rank 0 with its
+/// replica on rank 1: rank 2 reaches both copies over the network and
+/// holds no version hint for what rank 1 wrote.
+void with_replicated_store(kv::KvConfig cfg,
+                           const std::function<void(kv::KvStore&)>& setup,
+                           const std::function<void(kv::KvStore&)>& body) {
+  cfg.shards = 1;
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  fabric::run_ranks(3, [&](RankCtx& ctx) {
+    kv::KvStore store(ctx, cfg);
+    if (ctx.rank() == 1) setup(store);
+    ctx.barrier();
+    if (ctx.rank() == 2) {
+      ASSERT_EQ(store.owner_of(0), 0);
+      ASSERT_EQ(store.replica_of(0), 1);
+      body(store);
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  }, opts);
+}
+
 /// Op cost of one get of `key`, asserting what it returns.
-KvGetCost get_cost(kv::KvStore& store, std::uint64_t key, bool expect_found,
-                   std::uint64_t expect_value = 0) {
+KvCost get_cost(kv::KvStore& store, std::uint64_t key, bool expect_found,
+                std::uint64_t expect_value = 0) {
   std::uint64_t v = 0;
   bool found = !expect_found;
   const auto d = delta_of([&] {
@@ -217,7 +254,19 @@ KvGetCost get_cost(kv::KvStore& store, std::uint64_t key, bool expect_found,
   if (expect_found) {
     EXPECT_EQ(v, expect_value) << "key " << key;
   }
-  return {d.get(Op::transport_amo), d.get(Op::transport_get)};
+  return cost_of(d);
+}
+
+/// Op cost of one put of `key`, asserting it succeeds and reads back.
+KvCost put_cost(kv::KvStore& store, std::uint64_t key, std::uint64_t value) {
+  const auto d = delta_of(
+      [&] { EXPECT_EQ(store.put(key, value), rdma::OpStatus::ok); });
+  std::uint64_t v = 0;
+  bool found = false;
+  EXPECT_EQ(store.get(key, &v, &found), rdma::OpStatus::ok);
+  EXPECT_TRUE(found) << "key " << key;
+  EXPECT_EQ(v, value) << "key " << key;
+  return cost_of(d);
 }
 
 }  // namespace
@@ -229,6 +278,7 @@ TEST(InstrBounds, KvWarmHitIsOneAmo) {
     const auto c = get_cost(store, 7, true, 70);
     EXPECT_EQ(c.amos, 1u) << "a warm hit is the epoch check alone";
     EXPECT_EQ(c.gets, 0u);
+    EXPECT_EQ(c.rounds, 1u);
   });
 }
 
@@ -238,6 +288,7 @@ TEST(InstrBounds, KvTopCellMissIsThreeAmosAndOneGet) {
     const auto c = get_cost(store, 7, true, 70);
     EXPECT_EQ(c.amos, 3u) << "{epoch, v1} + v2";
     EXPECT_EQ(c.gets, 1u) << "one {key, version, value} rget";
+    EXPECT_EQ(c.rounds, 3u) << "{epoch, v1} > rget > v2";
   });
 }
 
@@ -246,6 +297,7 @@ TEST(InstrBounds, KvUnclaimedSlotMissIsTwoAmosAndOneGet) {
     const auto c = get_cost(store, 7, false);  // empty store
     EXPECT_EQ(c.amos, 2u) << "{epoch, v1}, no v2 for an empty top cell";
     EXPECT_EQ(c.gets, 1u);
+    EXPECT_EQ(c.rounds, 2u);
   });
 }
 
@@ -266,6 +318,76 @@ TEST(InstrBounds, KvChainKeyIsFiveAmosAndOneGetPerHopPlusTwo) {
                             << hops << " hops";
       EXPECT_EQ(c.gets, hops + 2) << "top + one per hop + snapshot, "
                                   << hops << " hops";
+      EXPECT_EQ(c.rounds, hops + 5)
+          << "{epoch, v1} > top > head > hops > {v1, rget} > v2";
     }
   });
+}
+
+TEST(InstrBounds, KvPutColdTopCellIsTwelveAmosInFourRounds) {
+  with_replicated_store({}, [](kv::KvStore&) {}, [](kv::KvStore& store) {
+    const auto c = put_cost(store, 7, 70);
+    EXPECT_EQ(c.amos, 12u)
+        << "per copy: version + claim, lock, value, release + epoch";
+    EXPECT_EQ(c.gets + c.puts, 0u);
+    EXPECT_EQ(c.rounds, 4u) << "the replica rides the primary's rounds";
+  });
+}
+
+TEST(InstrBounds, KvPutWarmHintIsEightAmosInThreeRounds) {
+  with_replicated_store({}, [](kv::KvStore&) {}, [](kv::KvStore& store) {
+    put_cost(store, 7, 70);  // leaves this client's hint
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      const auto c = put_cost(store, 7, 70 + i);
+      EXPECT_EQ(c.amos, 8u) << "per copy: hinted lock, value, release + epoch";
+      EXPECT_EQ(c.rounds, 3u);
+    }
+  });
+}
+
+TEST(InstrBounds, KvPutOneCopyKeepsTheRoundCount) {
+  kv::KvConfig cfg;
+  cfg.replicate = false;
+  with_replicated_store(cfg, [](kv::KvStore&) {}, [](kv::KvStore& store) {
+    const auto cold = put_cost(store, 7, 70);
+    EXPECT_EQ(cold.amos, 6u) << "one copy's cold put";
+    EXPECT_EQ(cold.rounds, 4u);
+    const auto warm = put_cost(store, 7, 71);
+    EXPECT_EQ(warm.amos, 4u) << "one copy's hinted put";
+    EXPECT_EQ(warm.rounds, 3u);
+  });
+}
+
+TEST(InstrBounds, KvPutChainKeyIsWalkRoundsPlusThree) {
+  kv::KvConfig cfg;
+  cfg.table_slots = 1;  // every key collides on the one top slot
+  cfg.heap_slots = 16;
+  with_replicated_store(
+      cfg,
+      [](kv::KvStore& store) {
+        // Key 1 takes the top cell, key 5 ends up one hop down, key 2 four.
+        for (std::uint64_t k = 1; k <= 5; ++k) {
+          ASSERT_EQ(store.put(k, k * 10), rdma::OpStatus::ok);
+        }
+      },
+      [](kv::KvStore& store) {
+        for (std::uint64_t hops = 1; hops <= 4; ++hops) {
+          const std::uint64_t key = 6 - hops;
+          const auto c = put_cost(store, key, key * 100);
+          // Walk: {version, claim} > head > one rget per hop, both copies.
+          const std::uint64_t walk = 2 + hops;
+          EXPECT_EQ(c.rounds, walk + 3)
+              << "walk > {lock, key} > value > {release, epoch}, " << hops
+              << " hops";
+          EXPECT_EQ(c.gets, 2 * hops) << "one rget per hop per copy";
+          EXPECT_EQ(c.amos, 16u) << "per copy: version + claim, head, lock + "
+                                    "key, value, release + epoch";
+        }
+        // A new key walks the whole 4-hop chain, then fetch-adds a cell,
+        // rputs it and links it: walk + 3 as well.
+        const auto c = put_cost(store, 6, 600);
+        EXPECT_EQ(c.rounds, (2u + 4u) + 3u);
+        EXPECT_EQ(c.gets, 2u * 4u);
+        EXPECT_EQ(c.puts, 2u) << "one fully formed cell per copy";
+      });
 }

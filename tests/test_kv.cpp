@@ -5,6 +5,7 @@
 
 #include <array>
 #include <atomic>
+#include <utility>
 #include <vector>
 
 #include "common/instr.hpp"
@@ -518,6 +519,97 @@ TEST(KvFleet, RecordsLatenciesAndStaysCoherent) {
   });
 }
 
+TEST(KvFleet, HotKeyFibersTakeTurnsWithoutDeadlock) {
+  // Eight fibers of one rank put and get ONE key: a fiber that finds the
+  // cell locked by a sibling parks on its scheduler until the sibling's
+  // rounds retire the lock (a spin would hold the rank thread, and with it
+  // the sibling, forever). Every op must retire ok, once.
+  KvConfig cfg;
+  cfg.shards = 2;
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  opts.domain.inject = rdma::Injection::model;  // locks held across parks
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    if (ctx.rank() == 0) {
+      const OpCounters before = op_counters();
+      KvStore::FleetConfig fc;
+      fc.ops_per_rank = 400;
+      fc.fibers = 8;
+      fc.read_ratio = 0.25;
+      fc.keyspace = 1;  // every op on key 1
+      const auto res = store.run_fleet(ctx, fc);
+      EXPECT_EQ(res.issued, static_cast<std::uint64_t>(fc.ops_per_rank));
+      EXPECT_EQ(res.issued, res.ok_ops + res.peer_dead + res.retry_routing +
+                                res.data_loss + res.failed_other);
+      EXPECT_EQ(res.ok_ops, res.issued);
+      EXPECT_GT(res.writes, 200u);
+      EXPECT_GT(op_counters().since(before).get(Op::retry), 0u)
+          << "no fiber ever found the cell locked: the test lost its point";
+      std::uint64_t v = 0;
+      bool found = false;
+      ASSERT_EQ(store.get(1, &v, &found), OpStatus::ok);
+      EXPECT_TRUE(found);
+      EXPECT_EQ(v, 1u * 31 + 7) << "fleet puts write key * 31 + 7";
+    }
+    ctx.barrier();
+    // Both copies hold the last write: the scrub finds nothing to repair.
+    if (ctx.rank() == 1) {
+      const auto r = store.scrub(store.shard_of(1));
+      EXPECT_EQ(r.status, OpStatus::ok);
+      EXPECT_EQ(r.repairs, 0u);
+      EXPECT_EQ(r.skipped, 0u) << "a cell was left locked";
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  }, opts);
+}
+
+TEST(Kv, StaleVersionHintNeverWritesAForeignCell) {
+  // Rank 0's put of kA leaves it a version hint for the one top cell. Rank
+  // 1 then erases kA and reclaims the cell for kB. The hint's lock CAS must
+  // fail (the version moved on); the retry's key check must find kB and let
+  // go; rank 0's put of kA must then take the cold path to a cell of its
+  // own, leaving kB's value intact.
+  constexpr std::uint64_t kA = 5, kB = 9;
+  KvConfig cfg;
+  cfg.shards = 1;
+  cfg.table_slots = 1;  // kA and kB share the top cell
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    if (ctx.rank() == 0) {
+      ASSERT_EQ(store.put(kA, 1), OpStatus::ok);
+      ASSERT_EQ(store.put(kA, 2), OpStatus::ok);  // hinted
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      ASSERT_EQ(store.erase(kA), OpStatus::ok);
+      ASSERT_EQ(store.put(kB, 77), OpStatus::ok);  // reclaims the top cell
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      const OpCounters before = op_counters();
+      ASSERT_EQ(store.put(kA, 3), OpStatus::ok);
+      // Lost hinted CAS, checked CAS finding kB, its release, then the
+      // cold path: claim, head, fresh cell, link.
+      EXPECT_GT(op_counters().since(before).get(Op::kv_round), 3u);
+    }
+    ctx.barrier();
+    for (const auto& [k, want] :
+         {std::pair{kA, 3ull}, std::pair{kB, 77ull}}) {
+      std::uint64_t v = 0;
+      bool found = false;
+      ASSERT_EQ(store.get(k, &v, &found), OpStatus::ok);
+      EXPECT_TRUE(found) << "key " << k;
+      EXPECT_EQ(v, want) << "key " << k << " on rank " << ctx.rank();
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  }, opts);
+}
+
 // --- self-healing recovery (DESIGN.md §13) -----------------------------------
 
 namespace {
@@ -643,6 +735,71 @@ TEST(KvRecovery, OwnerKillPromotesAndRestoresRedundancy) {
           ASSERT_EQ(store.put(fresh, 424242), OpStatus::ok);
           EXPECT_GT(store.shard_epoch(s, /*replica=*/true), repl_epoch)
               << "write-through to the recovered replica bank broken";
+        }
+        survivors.fetch_add(1);
+        // No collectives, no destroy: rank 1 cannot meet them.
+      },
+      opts);
+  EXPECT_EQ(survivors.load(), 3);
+}
+
+TEST(KvRecovery, HealDropsVersionHintsAndPutsLandOnTheNewCopies) {
+  // Rank 0 holds version hints into the copies of rank-1-owned shards.
+  // After heal() promotes the replica and drains a spare, those hints name
+  // cells of regions that no longer serve the shard: apply_routing must
+  // drop them, so rank 0's next put is a cold one (4 rounds, not a 3-round
+  // hinted put) and lands on both new copies.
+  constexpr int kRanks = 4;
+  fabric::FabricOptions opts;
+  opts.domain.nranks = kRanks;
+  opts.domain.ranks_per_node = 1;
+  opts.domain.fault.kill_rank = 1;
+  opts.domain.fault.kill_at_op = 400;
+  opts.errors_return = true;
+  std::atomic<int> survivors{0};
+  fabric::run_ranks(
+      kRanks,
+      [&](RankCtx& ctx) {
+        KvStore store(ctx);
+        const auto k = key_owned_by(store, 1);
+        if (ctx.rank() == 0) {
+          ASSERT_EQ(store.put(k, 1), OpStatus::ok);
+          ASSERT_EQ(store.put(k, 2), OpStatus::ok);  // hinted
+        }
+        ctx.barrier();  // last collective before the kill
+        if (ctx.rank() == 1) {
+          std::uint64_t v = 0;
+          bool found = false;
+          for (int i = 0; i < 100000; ++i) {
+            store.get(k, &v, &found);
+            store.put(9990001, static_cast<std::uint64_t>(i));
+          }
+          FAIL() << "rank 1 must have been killed";
+        }
+        while (store.peer_alive(1)) ctx.yield_check();
+        heal_until_settled(store, ctx);
+        const int s = store.shard_of(k);
+        ASSERT_NE(store.copy_of(s, false).rank, 1);
+        ASSERT_NE(store.copy_of(s, true).rank, 1);
+        if (ctx.rank() == 0) {
+          OpStatus st;
+          std::uint64_t rounds = 0;
+          do {  // a racing survivor's heal may retire one retry_routing
+            const OpCounters before = op_counters();
+            st = store.put(k, 3);
+            rounds = op_counters().since(before).get(Op::kv_round);
+          } while (st == OpStatus::retry_routing);
+          ASSERT_EQ(st, OpStatus::ok);
+          EXPECT_EQ(rounds, 4u) << "a hint survived the copy move";
+          // Both new copies took the write: nothing left to repair.
+          const auto r = store.scrub(s);
+          EXPECT_EQ(r.status, OpStatus::ok);
+          EXPECT_EQ(r.repairs, 0u);
+          std::uint64_t v = 0;
+          bool found = false;
+          ASSERT_EQ(store.get(k, &v, &found), OpStatus::ok);
+          EXPECT_TRUE(found);
+          EXPECT_EQ(v, 3u);
         }
         survivors.fetch_add(1);
         // No collectives, no destroy: rank 1 cannot meet them.

@@ -207,7 +207,7 @@ TEST(Integration, ManyFabricsSequentially) {
 }
 
 TEST(Integration, LargeRankCountSmoke) {
-  // 24 rank threads on one core: scheduling stress for every spin loop.
+  // 24 rank threads on a few cores: scheduling stress for every spin loop.
   fabric::run_ranks(24, [](RankCtx& ctx) {
     Win win = Win::allocate(ctx, 64);
     win.fence();

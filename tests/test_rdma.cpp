@@ -382,8 +382,8 @@ TEST(Nic, IntraNodeFasterThanInterNodeUnderModel) {
   }
   // 200 reps so the modeled gap (~430 ns intra vs ~1.4 us inter per put,
   // ~200 us over the loop) dwarfs per-put software cost; best-of-3 because
-  // a single sample on the one-core host (worse under TSan) can still be a
-  // scheduler-noise outlier.
+  // a single sample on a shared host with more rank threads than cores
+  // (worse under TSan) can still be a scheduler-noise outlier.
   double intra = 1e300, inter = 0;
   for (int attempt = 0; attempt < 3 && !(intra < inter); ++attempt) {
     Timer ti;

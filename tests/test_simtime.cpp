@@ -562,7 +562,7 @@ TEST(CostModel, GoldenClosedForms) {
       {"kv.uncached_read_us", kv_uncached_read_us(kv), 7.12383},
       {"kv.read_us", kv_read_us(kv), 3.344766},
       {"kv.read_us.degraded", kv_read_us(kv, true), 7.12383},
-      {"kv.put_us", kv_put_us(kv), 28.799999999999997},
+      {"kv.put_us", kv_put_us(kv), 12.928},
       {"kv.throughput_mops(64)", simulate_kv_throughput_mops(64, kv),
        7.438805569536179},
       {"kv.throughput_mops(4096)", simulate_kv_throughput_mops(4096, kv),
