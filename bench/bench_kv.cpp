@@ -9,11 +9,11 @@
 //      ranks. Under Injection::model wall time tracks the charged Gemini
 //      costs, so the p50/p99 columns are MODELED latencies (see CLAUDE.md);
 //      the sim_kv closed forms are printed beside them.
-//   2. Cache leverage (gated): the epoch-validated cache hit is one remote
-//      AMO against the versioned read's six, so the warm-cache modeled get
-//      rate must be >= 2x the uncached rate. Three attempts: thread-rank
-//      wall smear can spoil one, three misses mean the cache really does
-//      not short-circuit.
+//   2. Cache leverage (gated): the version-validated cache hit is one
+//      remote AMO against the versioned read's three rounds, so the
+//      warm-cache modeled get rate must be >= 2x the uncached rate. Three
+//      attempts: thread-rank wall smear can spoil one, three misses mean
+//      the cache really does not short-circuit.
 //   3. Failover SLO degradation (gated): phase A reads rank-1-owned keys
 //      healthy (warm cache), then the seeded fault plan kills rank 1 and
 //      phase B re-reads the same keys degraded (replica serving, cache
@@ -101,7 +101,8 @@ struct CacheResult {
 };
 
 /// Modeled get rate of one client hammering one hot key, with and without
-/// the epoch-stamped cache (single active rank: nobody bumps the epoch).
+/// the per-cell validated cache (single active rank: nobody writes the
+/// key, so every warm get hits).
 CacheResult cache_rates() {
   CacheResult res;
   for (const bool cached : {true, false}) {
@@ -225,7 +226,7 @@ struct RecoveryRow {
 /// same reads against the healed routing. The gates assert the full
 /// restoration story: recovery typed-completes, degraded() clears
 /// everywhere, the post-recovery tail returns to within 1.5x of healthy
-/// (the generation check rides the epoch check), and cache leverage is
+/// (the generation check rides the first round), and cache leverage is
 /// back (>= 2x over the degraded uncached reads).
 RecoveryRow recovery_slo() {
   constexpr int kRanks = 4;
@@ -379,7 +380,8 @@ int main() {
 
   const sim::KvParams model;
   // Modeled recovery time for the default-config shard the harness heals:
-  // 16B epoch header + (64 top + 256 heap) 32B cells, 320 cell pairs.
+  // [next_free | count] + 64 top cells with their chain heads + 256 heap
+  // cells, 32 B each: 320 cell pairs.
   const double model_recovery_us =
       sim::kv_recovery_us(model, 16 + (64 + 256) * 32, 64 + 256);
   std::printf("{\n  \"bench\": \"kv\",\n  \"injection\": \"model\",\n");

@@ -11,7 +11,9 @@
 #      confirm the counters are a pure function of the seed, plus the
 #      recovery-chaos suite (staggered double kills + heal-until-settled
 #      under the same seeds) repeated to confirm the self-healing
-#      invariants hold across thread schedules
+#      invariants hold across thread schedules, and the KV client-cache
+#      coherence suite (warm readers against concurrent writers) repeated
+#      for the same reason
 #   3. ThreadSanitizer build + the concurrency-heavy tests (datatype
 #      flatten-cache sharing, RDMA issue paths, locks, comm, accumulate,
 #      flight-recorder tracing, doorbell batching/striping, fault
@@ -61,6 +63,12 @@ python3 perfbench/run.py --selftest
 ./build/tests/test_fault --gtest_filter='Chaos.*' --gtest_repeat=3 \
   --gtest_brief=1
 ./build/tests/test_kv --gtest_filter='KvChaos.*' --gtest_repeat=3 \
+  --gtest_brief=1
+
+# Cache coherence: warm readers race writers of keys sharing their shards,
+# erases whose cells other keys reclaim, and scrub repairs. What a reader
+# sees depends on the thread schedule, so the suite runs three times.
+./build/tests/test_kv --gtest_filter='KvCache.*' --gtest_repeat=3 \
   --gtest_brief=1
 
 # Recovery chaos: staggered double kills under seeds 11/22/33 with a

@@ -74,10 +74,8 @@ KvStore::KvStore(fabric::RankCtx& ctx, KvConfig cfg)
 
   routing_.assign(static_cast<std::size_t>(cfg_.shards), 0);
   degraded_.assign(static_cast<std::size_t>(cfg_.shards), false);
-  cache_.assign(static_cast<std::size_t>(cfg_.shards), {});
-  hints_.assign(static_cast<std::size_t>(cfg_.shards), {});
-  epoch_seen_.assign(static_cast<std::size_t>(cfg_.shards), 0);
-  const auto st = fetch_routing();
+  records_.assign(static_cast<std::size_t>(cfg_.shards), {});
+  const auto st = refresh_routing();
   FOMPI_REQUIRE(st == rdma::OpStatus::ok, ErrClass::internal,
                 "kv routing-table fetch failed");
   ctx.barrier();  // no traffic before every client holds the table
@@ -97,12 +95,9 @@ std::size_t KvStore::routing_bytes() const {
 }
 
 std::size_t KvStore::shard_region_bytes() const {
-  BucketLayout l;
-  l.table_slots = cfg_.table_slots;
-  l.heap_slots = cfg_.heap_slots;
-  l.table_stride = kTopStride;
-  l.cell_stride = kCellStride;
-  return 16 + l.region_bytes();  // [epoch][pad] + buckets
+  return BucketLayout{0, cfg_.table_slots, cfg_.heap_slots, kTopStride,
+                      kCellStride}
+      .region_bytes();
 }
 
 std::size_t KvStore::copy_base(const Copy& c) const {
@@ -117,13 +112,8 @@ std::size_t KvStore::copy_base(const Copy& c) const {
 }
 
 BucketLayout KvStore::layout_of(const Copy& c) const {
-  BucketLayout l;
-  l.base = copy_base(c) + 16;
-  l.table_slots = cfg_.table_slots;
-  l.heap_slots = cfg_.heap_slots;
-  l.table_stride = kTopStride;
-  l.cell_stride = kCellStride;
-  return l;
+  return {copy_base(c), cfg_.table_slots, cfg_.heap_slots, kTopStride,
+          kCellStride};
 }
 
 int KvStore::shard_of(std::uint64_t key) const {
@@ -144,22 +134,11 @@ int KvStore::owner_of(int shard) const { return copy_of(shard, false).rank; }
 
 int KvStore::replica_of(int shard) const { return copy_of(shard, true).rank; }
 
-std::uint64_t KvStore::shard_epoch(int shard, bool replica) {
-  std::uint64_t ep = 0;
-  amo_read(replica ? replica_of(shard) : owner_of(shard),
-           epoch_off(shard, replica), &ep);
-  return ep;
-}
-
-std::size_t KvStore::cached_entries(int shard) const {
-  return cache_[static_cast<std::size_t>(shard)].size();
-}
-
 rdma::OpStatus KvStore::probe_owner(int shard) {
   // Identity accumulate (+0): pure reads are served from a dead rank's
   // frozen memory image under the fail-stop model, so only a mutating AMO
-  // yields the typed peer_dead. Adding zero leaves the epoch untouched.
-  return amo_add(owner_of(shard), epoch_off(shard, false), 0);
+  // yields the typed peer_dead. Adding zero leaves the header word as is.
+  return amo_add(owner_of(shard), copy_base(copy_of(shard, false)), 0);
 }
 
 // --- typed-status AMO helpers ------------------------------------------------
@@ -212,8 +191,8 @@ rdma::OpStatus KvStore::amo_write(int t, std::size_t off, std::uint64_t v) {
 //
 // The routing table carries a generation word: even = stable, odd = a
 // reconfiguration is in flight. Clients that have observed a death validate
-// their cached generation with one AMO per op (piggybacked on the epoch
-// check where one exists); a mismatch retires the op as typed
+// their cached generation with one AMO per op (piggybacked on the op's
+// first round); a mismatch retires the op as typed
 // retry_routing and — once the generation is stable again — re-fetches a
 // consistent {generation, table} pair. Before any death the generation
 // cannot have moved, so the healthy fast path skips all of this for the
@@ -236,7 +215,7 @@ rdma::OpStatus KvStore::handle_gen_mismatch(std::uint64_t gen) {
   // typed instead of blocking the client under the coordinator's drain;
   // the caller reissues and refreshes once the generation stabilizes.
   if ((gen & 1) == 0) {
-    const auto st = fetch_routing();
+    const auto st = refresh_routing();
     if (st != rdma::OpStatus::ok) return st;
   }
   return rdma::OpStatus::retry_routing;
@@ -273,7 +252,7 @@ rdma::OpStatus KvStore::raw_fetch_table(std::vector<std::uint64_t>* table) {
   return st;
 }
 
-rdma::OpStatus KvStore::fetch_routing() {
+rdma::OpStatus KvStore::refresh_routing() {
   // Consistent-pair protocol: generation, table, generation again — accept
   // only a stable (even) generation that did not move across the table
   // get. This is what makes a LATE first fetch safe: a client attaching
@@ -308,18 +287,12 @@ void KvStore::apply_routing(const std::vector<std::uint64_t>& old) {
   for (int s = 0; s < cfg_.shards; ++s) {
     const auto i = static_cast<std::size_t>(s);
     if (old.size() == routing_.size() && old[i] != routing_[i]) {
-      // The shard's copies moved: epoch stamps taken against the old
-      // primary region are meaningless against the new one, and so are
-      // version hints into the old regions.
-      cache_[i].clear();
-      hints_[i].clear();
-      epoch_seen_[i] = 0;
+      // The shard's copies moved: records name cells of the old regions.
+      records_[i].clear();
     }
     degraded_[i] = !win_.peer_alive(copy_of(s, false).rank);
   }
 }
-
-rdma::OpStatus KvStore::refresh_routing() { return fetch_routing(); }
 
 // --- failover ----------------------------------------------------------------
 
@@ -333,8 +306,10 @@ bool KvStore::any_peer_dead() const {
 void KvStore::fail_over(int shard) {
   if (degraded_[static_cast<std::size_t>(shard)]) return;
   degraded_[static_cast<std::size_t>(shard)] = true;
-  // Primary-stamped epochs can no longer be validated: drop the cache.
-  cache_[static_cast<std::size_t>(shard)].clear();
+  // A dead primary's frozen versions never move again: drop cached values.
+  for (auto& kr : records_[static_cast<std::size_t>(shard)]) {
+    kr.second.cached = false;
+  }
   ++stats_.failovers;
   count(Op::kv_failover);
 }
@@ -431,9 +406,6 @@ struct KvStore::RoundOp {
     return issue(
         kv.win_.raccumulate(&v, 1, Elem::u64, RedOp::replace, t, off));
   }
-  std::size_t add(int t, std::size_t off, std::uint64_t a) {
-    return issue(kv.win_.raccumulate(&a, 1, Elem::u64, RedOp::sum, t, off));
-  }
 
   KvStore& kv;
   core::RmaRequest reqs[kMaxOps];
@@ -477,18 +449,31 @@ rdma::OpStatus KvStore::data_loss_on(int /*shard*/) {
 
 // --- get ------------------------------------------------------------------------
 //
-// GetOp is the whole read: routing, generation and cache checks, cell
-// snapshot, chain walk, seqlock retries, failover. Remote rounds:
-//   warm hit         {epoch}                            1 AMO
-//   unclaimed slot   {epoch, v1} > top rget             2 AMOs + 1 get
-//   top-cell key     {epoch, v1} > top rget > v2        3 AMOs + 1 get
-//   k-hop chain key  {epoch, v1} > top rget > head > k hop rgets
-//                    > {v1, cell rget} > v2             5 AMOs + (k+2) gets
-// v1 joins the epoch round only for uncached keys (a cached key expects a
-// hit); once a death was observed the generation read joins it too. Every
-// later snapshot — a chain cell, a cached key that missed, a seqlock retry
-// — issues v1 and the rget in one round: the round applies them in order,
-// so a writer can only tear the one round trip to v2.
+// GetOp is the whole read: routing, generation check, the key's record,
+// cell snapshot, chain walk, seqlock retries, failover. Remote rounds:
+//   cache hit        {recorded cell's version}              1 AMO
+//   stale record     {recorded cell's version} > rget > v2  2 AMOs + 1 get
+//   unclaimed slot   {top v1} > top rget                    1 AMO + 1 get
+//   top-cell key     {top v1} > top rget > v2               2 AMOs + 1 get
+//   k-hop chain key  {top v1} > top rget > head > k hop rgets
+//                    > {v1, cell rget} > v2                 4 AMOs + (k+2) gets
+// An unchanged version of a cached record's cell is a hit (see Record); a
+// moved one re-snapshots that cell, and a key that left it sends the get
+// back to the top cell. Once a death was observed the generation read
+// joins the first round. Every later snapshot — a chain cell, a seqlock
+// retry — issues v1 and the rget in one round: the round applies them in
+// order, so a writer can only tear the one round trip to v2.
+
+KvStore::Record& KvStore::note(int shard, std::uint64_t key, int c,
+                               std::size_t cell, std::uint64_t ver) {
+  Record& r = records_[static_cast<std::size_t>(shard)][key];
+  if (r.cell[c] != cell || ver > r.ver[c]) {
+    r.cell[c] = cell;
+    r.ver[c] = ver;
+    if (c == 0) r.cached = false;
+  }
+  return r;
+}
 
 struct KvStore::GetOp final : RoundOp {
   explicit GetOp(KvStore& kv) : RoundOp(kv) {}
@@ -513,6 +498,7 @@ struct KvStore::GetOp final : RoundOp {
       case Phase::route:
         shard = kv.shard_of(key);
         slot = kv.slot_of(key);
+        entry = kv.routing_[sh()];
         if (!kv.degraded(shard) && !kv.win_.peer_alive(kv.owner_of(shard))) {
           kv.fail_over(shard);
         }
@@ -523,6 +509,11 @@ struct KvStore::GetOp final : RoundOp {
         return snapshot(cell_off);
       case Phase::cell:
         if (cell.key != key) {
+          // The key left the recorded cell: look it up from the top.
+          if (std::exchange(rec.cached, false) &&
+              cell_off != l.off_table(slot)) {
+            return snapshot(l.off_table(slot));
+          }
           // A claimed top slot never empties, so an empty one has no chain;
           // a chain cell rekeyed since the hop was erased: misses both.
           if (in_chain || cell.key == 0) return finish(rdma::OpStatus::ok);
@@ -565,7 +556,7 @@ struct KvStore::GetOp final : RoundOp {
   }
 
   bool found = false;
-  bool hit = false;  ///< served from the epoch-validated cache
+  bool hit = false;  ///< served from the version-validated cache
   std::uint64_t value = 0;
 
  private:
@@ -603,25 +594,28 @@ struct KvStore::GetOp final : RoundOp {
     return false;
   }
 
-  /// First round against one copy: {generation?, epoch?, top v1?}.
+  /// First round against one copy: {generation?, v1 of the recorded cell
+  /// or the top cell}.
   bool open(bool replica) {
     deg = replica;
     t = deg ? kv.replica_of(shard) : kv.owner_of(shard);
     if (deg && !kv.win_.peer_alive(t)) return finish(kv.data_loss_on(shard));
     l = kv.layout_for(shard, deg);
     cell_off = l.off_table(slot);
-    in_chain = ep_valid = false;
+    in_chain = false;
+    rec = {};
     stuck = 0;
     n = 0;
-    gen_i = ep_i = v1_i = kUnset;
+    gen_i = kUnset;
     if (kv.routing_suspect()) gen_i = read(kv.cfg_.routing_rank, 0, &g);
-    // Degraded reads bypass the cache: primary-stamped epochs cannot be
-    // validated against the replica.
-    const bool cached = kv.cfg_.client_cache && !deg;
-    if (cached) ep_i = read(t, kv.epoch_off(shard, false), &ep);
-    if (!cached || kv.cache_[sh()].count(key) == 0) {
-      v1_i = read(t, cell_off + kVerOff, &v1);
+    // Degraded reads bypass the cache: records name primary cells.
+    cache = kv.cfg_.client_cache && !deg;
+    if (const auto it = kv.records_[sh()].find(key);
+        cache && it != kv.records_[sh()].end() && it->second.cached) {
+      rec = it->second;  // a copy: sibling fibers may update the record
+      cell_off = rec.cell[0];
     }
+    v1_i = read(t, cell_off + kVerOff, &v1);
     phase = Phase::probe;
     return false;
   }
@@ -631,26 +625,19 @@ struct KvStore::GetOp final : RoundOp {
       if (sts[gen_i] != rdma::OpStatus::ok) return finish(sts[gen_i]);
       if (g != kv.gen_seen_) return finish(kv.handle_gen_mismatch(g));
     }
-    if (ep_i != kUnset) {
-      auto& entries = kv.cache_[sh()];
-      if (sts[ep_i] == rdma::OpStatus::ok) {
-        ep_valid = true;
-        if (ep != kv.epoch_seen_[sh()]) {  // a writer bumped the epoch
-          entries.clear();
-          kv.epoch_seen_[sh()] = ep;
-        } else if (const auto it = entries.find(key); it != entries.end()) {
-          value = it->second;
-          found = hit = true;
-          ++kv.stats_.cache_hits;
-          count(Op::kv_cache_hit);
-          return finish(rdma::OpStatus::ok);
-        }
+    const bool ok = sts[v1_i] == rdma::OpStatus::ok;
+    if (cache) {
+      if (rec.cached && ok && v1 == rec.ver[0]) {
+        value = rec.value;
+        found = hit = true;
+        ++kv.stats_.cache_hits;
+        count(Op::kv_cache_hit);
+        return finish(rdma::OpStatus::ok);
       }
       ++kv.stats_.cache_misses;
       count(Op::kv_cache_miss);
     }
-    if (v1_i == kUnset) return snapshot(cell_off);
-    if (sts[v1_i] != rdma::OpStatus::ok) return fail(sts[v1_i]);
+    if (!ok) return fail(sts[v1_i]);
     return read_cell(cell_off, /*with_next=*/false, Phase::cell);
   }
 
@@ -664,12 +651,15 @@ struct KvStore::GetOp final : RoundOp {
     status = st;
     n = 0;
     phase = Phase::done;
-    // Cache only a value read after this get's own epoch check, and only
-    // while that epoch is still the stamp: a fiber that read an older
-    // epoch must not file its value under a newer one.
-    if (st == rdma::OpStatus::ok && found && !hit && ep_valid &&
-        !kv.degraded(shard) && kv.epoch_seen_[sh()] == ep) {
-      kv.cache_[sh()][key] = value;
+    // File the snapshot in the key's record, unless the record holds a
+    // newer version of the cell or the shard's copies moved meanwhile.
+    if (st == rdma::OpStatus::ok && found && !hit && cache &&
+        !kv.degraded(shard) && kv.routing_[sh()] == entry) {
+      Record& r = kv.note(shard, key, 0, cell_off, v1);
+      if (r.cell[0] == cell_off && r.ver[0] == v1) {
+        r.value = value;
+        r.cached = true;
+      }
     }
     return true;
   }
@@ -678,11 +668,13 @@ struct KvStore::GetOp final : RoundOp {
   Phase phase = Phase::done;
   int shard = 0, t = 0, stuck = 0;
   bool deg = false, in_chain = false;
-  bool ep_valid = false;  ///< `ep` was read in this get's first round
+  bool cache = false;  ///< this copy's read may use and fill the cache
   std::size_t slot = 0, cell_off = 0;
-  std::size_t gen_i = kUnset, ep_i = kUnset, v1_i = kUnset;
+  std::size_t gen_i = kUnset, v1_i = kUnset;
   BucketLayout l;
-  std::uint64_t g = 0, ep = 0, v1 = 0, v2 = 0, head = 0;
+  std::uint64_t entry = 0;  ///< the shard's routing entry the op started on
+  std::uint64_t g = 0, v1 = 0, v2 = 0, head = 0;
+  Record rec;  ///< the cached record cell_off came from (cached = false: none)
   CellWords cell;
 };
 
@@ -703,37 +695,44 @@ rdma::OpStatus KvStore::get(std::uint64_t key, std::uint64_t* value,
 // round carries both copies' ops, so the replica costs injection overhead,
 // not round trips. Per copy:
 //   cold top-cell put  {version, claim CAS} > lock CAS > value write
-//                      > {release CAS, epoch + 1}         6 AMOs, 4 rounds
-//   warm (hinted) put  lock CAS > value write > {release, epoch}
-//                                                         4 AMOs, 3 rounds
+//                      > release CAS                      5 AMOs, 4 rounds
+//   recorded put       lock CAS > value write > release   3 AMOs, 3 rounds
 //   chain key          {version, claim} > head > one {key, ver, val, next}
 //                      rget per hop > {lock CAS, key read} > value
-//                      > {release, epoch}                 walk + 3 rounds
+//                      > release                          walk + 3 rounds
 //   new chain key      walk > fetch-add next_free > cell rput (linked to
-//                      the head the walk read) > {head CAS, epoch}; a head
-//                      that moved costs a link rput and another CAS
-//   tombstone reclaim  as an update; the value round also writes the key
+//                      the head the walk read) > head CAS; a head that
+//                      moved costs a walk of the cells linked meanwhile, a
+//                      link rput and another CAS
+//   tombstone reclaim  of the first tombstone walked (top cell included),
+//                      once the walk reached the chain end without the key;
+//                      then as an update whose value round writes the key
 //   erase              as a put, with a key read for the claim; the value
 //                      round tombstones the key word
 // Once a death was observed the generation read joins the first round.
+// A key lives in at most one cell of a copy: a get's record of it stays
+// valid until that cell changes, so a write to a second cell of the key
+// would be invisible to warm readers.
 //
 // Why one lock CAS per write is enough:
 //   * the claim round's version read is issued before the claim, so a lock
 //     CAS expecting that version proves nobody locked the cell — hence
 //     nobody rekeyed it, only lock holders do — since the claim saw the key;
-//   * versions only grow, so a hint {cell, version this client released}
-//     is self-validating: a lock CAS expecting it succeeds only if nobody
-//     touched the cell since. A hint is never a reason to skip the lock;
+//   * versions only grow, so a record {cell, version this client released
+//     or snapshotted} is self-validating: a lock CAS expecting it succeeds
+//     only if nobody touched the cell since. A record is never a reason to
+//     skip the lock;
 //   * any other expected version — a chain hop's rget, which reads key and
 //     version in no guaranteed order, or the version a lost CAS returned —
 //     comes with the key re-read behind the CAS, under the lock: a key that
 //     moved releases the cell and starts the copy over.
 // So a lost lock CAS retries at once with the version it returned (a stale
-// hint costs no round over the cold path); a locked cell makes the copy
+// record costs no round over the cold path); a locked cell makes the copy
 // pause (a fleet fiber backs off through its scheduler), then expect the
 // holder's release, revoking a dead writer's lock after kRevokeSpins
 // pauses once a death was observed. The value write completes before its
-// release is issued, and the epoch bump rides the release round.
+// release is issued. A write touches no word but its own cell's, so it
+// invalidates other clients' cached records of its key only.
 
 struct KvStore::PutOp final : RoundOp {
   explicit PutOp(KvStore& kv) : RoundOp(kv) {}
@@ -788,12 +787,12 @@ struct KvStore::PutOp final : RoundOp {
     claim,    // {version, claim CAS | key read} of the top cell
     lock,     // lock CAS (+ key read behind it, see above)
     value,    // value write (+ key write on a reclaim)
-    release,  // release CAS (+ epoch bump after a write)
+    release,  // release CAS
     head,     // chain head read
     hop,      // one chain cell rget
     alloc,    // fetch-add next_free for a new chain cell
     fill,     // new cell rput
-    link,     // head CAS (+ epoch bump on the first attempt)
+    link,     // head CAS
     relink,   // new cell's next rput after a lost head CAS
     done,
   };
@@ -808,12 +807,14 @@ struct KvStore::PutOp final : RoundOp {
     bool reclaim = false;  ///< the locked cell holds a tombstone to rekey
     bool held = false;     ///< the lock is ours
     bool redo = false;     ///< rekeyed before our lock: release, start over
+    bool linking = false;  ///< a lost head CAS: walking the cells it missed
     int t = 0, stuck = 0;
     std::size_t first = 0, ops = 0;  ///< this copy's ops in the round
-    std::size_t cell = 0, ep = 0;
+    std::size_t cell = 0, spare = 0;  ///< spare: first tombstone walked
     BucketLayout l;
     std::uint64_t ver = 0;  ///< version the lock CAS expects
     std::uint64_t word = 0, prev = 0, head = 0, hop = 0, idx = 0;
+    std::uint64_t spare_ver = 0, stop = 0;  ///< stop: the head walked first
     std::uint64_t fresh[4] = {};  ///< new chain cell {key, ver, val, next}
     CellWords c;
     rdma::OpStatus st = rdma::OpStatus::ok;
@@ -836,6 +837,7 @@ struct KvStore::PutOp final : RoundOp {
     routed = true;
     shard = kv.shard_of(key);
     slot = kv.slot_of(key);
+    entry = kv.routing_[sh()];
     if (one_copy) {
       init(copy_replica);
     } else {
@@ -867,7 +869,6 @@ struct KvStore::PutOp final : RoundOp {
     s.replica = replica;
     s.t = replica ? kv.replica_of(shard) : kv.owner_of(shard);
     s.l = kv.layout_for(shard, replica);
-    s.ep = kv.epoch_off(shard, replica);
     s.ph = Phase::open;
   }
 
@@ -921,8 +922,9 @@ struct KvStore::PutOp final : RoundOp {
       case Phase::hop: {
         const std::size_t cell = s.l.off_heap(s.hop - 1);
         if (s.c.key == key) return lock(s, cell, s.c.ver, true, false);
-        if (!erase && s.c.key == kTombstone) {
-          return lock(s, cell, s.c.ver, true, true);
+        if (!erase && s.c.key == kTombstone && s.spare == 0) {
+          s.spare = cell;
+          s.spare_ver = s.c.ver;
         }
         return walk(s, s.c.next);
       }
@@ -943,7 +945,6 @@ struct KvStore::PutOp final : RoundOp {
       case Phase::fill:
         s.ph = Phase::link;
         cas(s.t, s.l.off_chain(slot), s.head, s.idx + 1, &s.prev);
-        add(s.t, s.ep, 1);
         return;
       case Phase::link:
         if (s.prev == s.head) {
@@ -951,10 +952,12 @@ struct KvStore::PutOp final : RoundOp {
           s.ph = Phase::done;
           return;
         }
-        s.head = s.prev;  // another insert linked first: chain behind it
-        s.ph = Phase::relink;
-        issue(kv.win_.rput(&s.head, 8, s.t, s.l.off_cell_next(s.idx)));
-        return;
+        // Another insert linked first, maybe of this key: walk its cells,
+        // then chain behind them.
+        s.linking = true;
+        s.stop = s.head;
+        s.head = s.prev;
+        return walk(s, s.head);
       case Phase::relink:
         s.ph = Phase::link;
         cas(s.t, s.l.off_chain(slot), s.head, s.idx + 1, &s.prev);
@@ -966,13 +969,14 @@ struct KvStore::PutOp final : RoundOp {
     }
   }
 
-  /// First round: the hinted lock CAS, or the top cell's {version, claim}.
+  /// First round: the recorded lock CAS, or the top cell's claim round.
   void open(Side& s) {
-    s.held = s.redo = false;
-    const auto& hints = kv.hints_[sh()];
+    s.held = s.redo = s.linking = false;
+    s.spare = 0;
+    const auto& recs = kv.records_[sh()];
     const int c = s.replica ? 1 : 0;
-    if (const auto it = hints.find(key);
-        it != hints.end() && it->second.ver[c] != 0) {
+    if (const auto it = recs.find(key);
+        it != recs.end() && it->second.ver[c] != 0) {
       return lock(s, it->second.cell[c], it->second.ver[c], false, false);
     }
     s.cell = s.l.off_table(slot);
@@ -990,10 +994,13 @@ struct KvStore::PutOp final : RoundOp {
     if (w == key || (!erase && w == 0)) {
       return lock(s, s.cell, s.ver, false, false);
     }
-    if (!erase && w == kTombstone) return lock(s, s.cell, s.ver, false, true);
     if (w == 0) {  // erase: a claimed top slot never empties, so no chain
       s.ph = Phase::done;
       return;
+    }
+    if (!erase && w == kTombstone) {
+      s.spare = s.cell;
+      s.spare_ver = s.ver;
     }
     s.ph = Phase::head;
     read(s.t, s.l.off_chain(slot), &s.head);
@@ -1013,7 +1020,7 @@ struct KvStore::PutOp final : RoundOp {
 
   /// The lock CAS lost; s.prev is the cell's current version.
   void lost(Side& s) {
-    forget(s, s.ver);  // written since: a hint expecting s.ver is stale
+    forget(s, s.ver);  // written since: a record expecting s.ver is stale
     lock(s, s.cell, s.prev, /*check=*/true, s.reclaim);
   }
 
@@ -1052,7 +1059,6 @@ struct KvStore::PutOp final : RoundOp {
     s.ph = Phase::release;
     cas(s.t, s.cell + kVerOff, s.ver + 1, s.ver + 2, &s.prev);
     if (!wrote) return;
-    add(s.t, s.ep, 1);  // invalidates every client's cached view: one AMO
     if (erase) {
       forget(s, 0);
     } else {
@@ -1061,11 +1067,17 @@ struct KvStore::PutOp final : RoundOp {
   }
 
   void walk(Side& s, std::uint64_t link) {
+    if (s.linking && (link == 0 || link == s.stop)) {
+      s.ph = Phase::relink;  // no new cell holds the key
+      issue(kv.win_.rput(&s.head, 8, s.t, s.l.off_cell_next(s.idx)));
+      return;
+    }
     if (link == 0) {  // chain exhausted: the key is absent
       if (erase) {
         s.ph = Phase::done;
         return;
       }
+      if (s.spare != 0) return lock(s, s.spare, s.spare_ver, true, true);
       const std::uint64_t one = 1;
       s.ph = Phase::alloc;
       issue(kv.win_.rfetch_and_op(&one, &s.idx, Elem::u64, RedOp::sum, s.t,
@@ -1084,26 +1096,29 @@ struct KvStore::PutOp final : RoundOp {
     s.ph = Phase::done;
   }
 
-  /// Records the version this client released at s.cell for the key.
+  /// Records the version this client released at s.cell (not the value:
+  /// only a get's snapshot caches one) unless the shard's copies moved.
   void remember(const Side& s, std::uint64_t ver) {
-    Hint& h = kv.hints_[sh()][key];
-    const int c = s.replica ? 1 : 0;
-    if (h.cell[c] != s.cell || ver > h.ver[c]) {
-      h.cell[c] = s.cell;
-      h.ver[c] = ver;
+    if (kv.routing_[sh()] == entry) {
+      kv.note(shard, key, s.replica ? 1 : 0, s.cell, ver);
     }
   }
-  /// Drops the copy's hint when it expects `ver` (any version for 0).
+  /// Drops the copy's record entry when it expects `ver` (any version for
+  /// 0); dropping the primary entry drops the cached value with it.
   void forget(const Side& s, std::uint64_t ver) {
-    auto& hints = kv.hints_[sh()];
-    const auto it = hints.find(key);
-    if (it == hints.end()) return;
+    auto& recs = kv.records_[sh()];
+    const auto it = recs.find(key);
+    if (it == recs.end()) return;
+    Record& r = it->second;
     const int c = s.replica ? 1 : 0;
-    if (ver == 0 || it->second.ver[c] == ver) it->second.ver[c] = 0;
-    if (it->second.ver[0] == 0 && it->second.ver[1] == 0) hints.erase(it);
+    if (ver == 0 || r.ver[c] == ver) {
+      r.ver[c] = 0;
+      if (c == 0) r.cached = false;
+    }
+    if (r.ver[0] == 0 && r.ver[1] == 0) recs.erase(it);
   }
 
-  /// A failed generation check retires the op: the hinted first round may
+  /// A failed generation check retires the op: the recorded first round may
   /// already hold locks, which are released unwritten.
   bool unwind(rdma::OpStatus st, const rdma::OpStatus* got) {
     aborted = true;
@@ -1157,6 +1172,7 @@ struct KvStore::PutOp final : RoundOp {
   bool one_copy = false, copy_replica = false;
   int shard = 0;
   std::size_t slot = 0, gen_i = kUnset;
+  std::uint64_t entry = 0;  ///< the shard's routing entry the op started on
   rdma::OpStatus abort_st = rdma::OpStatus::ok;
   Side sides[2];  ///< [0] primary copy, [1] replica copy
 };

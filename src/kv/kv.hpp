@@ -14,21 +14,19 @@
 //   * put / erase — remote-CAS rounds on both copies in lockstep: claim
 //     the key word (CAS) beside a version read, lock the cell (CAS version
 //     even -> odd), write the value (accumulate-replace, atomic), then
-//     release (version + 2) beside the shard's version-epoch bump. A
-//     per-client version hint turns the first two rounds into one lock CAS
-//     for a key this client wrote last. New keys on the overflow path
-//     reuse the hashtable's fetch_add + link-at-head protocol; erase
-//     tombstones the key word so the slot can be reclaimed.
-//   * client cache — per-shard epoch-stamped: all cached entries of a
-//     shard are valid exactly while the shard's epoch word is unchanged,
-//     so a cache hit costs ONE remote AMO (the epoch check) instead of the
-//     uncached read's three rounds.
+//     release (CAS to version + 2). A per-client record of the cell and
+//     version turns the first two rounds into one lock CAS. New keys on
+//     the overflow path reuse the hashtable's fetch_add + link-at-head
+//     protocol; erase tombstones the key word so the slot can be reclaimed.
+//   * client cache — per cell: a record {cell, version, value} of the
+//     client's last snapshot of a key is valid while the cell's version is
+//     unchanged, so a hit is ONE remote AMO (that version read) and a
+//     write invalidates only the records of its own key.
 //   * replication / failover — writes fan out to a replica region on rank
 //     (owner+1)%p; a client observing the owner dead (fail-stop liveness
 //     or a typed peer_dead status) marks the shard degraded and routes to
-//     the replica. Degraded reads bypass the cache (primary-stamped
-//     epochs cannot be validated against the replica), which is the
-//     modeled SLO degradation bench_kv measures.
+//     the replica. Degraded reads bypass the cache (records name primary
+//     cells), which is the modeled SLO degradation bench_kv measures.
 //   * self-healing recovery (DESIGN.md §13) — heal() turns the degraded
 //     state back into a healthy one: the lowest alive rank is elected
 //     coordinator, CAS-claims the routing generation word (even = stable,
@@ -38,7 +36,7 @@
 //     the paper's decoupling claim doing fault-tolerance work), reconciles
 //     the pair with a version-winner scrub, publishes the new entries and
 //     releases the generation. Clients validate the generation with one
-//     AMO overlapped with their epoch check (only once a death has been
+//     AMO overlapped with their first round (only once a death has been
 //     observed — zero healthy-path cost) and retire racing ops with typed
 //     retry_routing; a shard whose owner AND replica died retires
 //     data_loss, never a stale frozen value.
@@ -68,7 +66,7 @@ struct KvConfig {
   std::size_t table_slots = 64;  ///< top cells per shard
   std::size_t heap_slots = 256;  ///< overflow cells per shard
   bool replicate = true;         ///< write-through replica at (owner+1)%p
-  bool client_cache = true;      ///< epoch-stamped read cache
+  bool client_cache = true;      ///< per-cell validated read cache
   /// Rank hosting the routing table + generation word. A dead routing home
   /// makes further reconfiguration impossible (documented limitation);
   /// tests place it on a high rank to exercise coordinator takeover.
@@ -155,7 +153,7 @@ class KvStore {
   rdma::OpStatus put(std::uint64_t key, std::uint64_t value);
   rdma::OpStatus erase(std::uint64_t key);
   /// Versioned one-sided read; `*found` false on miss. Serves from the
-  /// epoch-validated cache when possible.
+  /// version-validated cache when possible.
   rdma::OpStatus get(std::uint64_t key, std::uint64_t* value, bool* found);
 
   // --- routing / introspection ---------------------------------------------
@@ -167,15 +165,12 @@ class KvStore {
   }
   /// Fail-stop liveness view of a rank (forwarded from the window).
   bool peer_alive(int rank) const { return win_.peer_alive(rank); }
-  /// Typed one-sided probe of a shard primary's epoch word: ok while the
-  /// owner serves, peer_dead once it was killed (confinement assertions).
+  /// Typed one-sided probe of a shard primary's region header: ok while
+  /// the owner serves, peer_dead once it was killed (confinement
+  /// assertions).
   rdma::OpStatus probe_owner(int shard);
   const KvStats& stats() const noexcept { return stats_; }
   const KvConfig& config() const noexcept { return cfg_; }
-  /// One-sided read of a shard's version-epoch word (owner or replica copy).
-  std::uint64_t shard_epoch(int shard, bool replica = false);
-  /// Keys currently cached for `shard` on this client.
-  std::size_t cached_entries(int shard) const;
 
   // --- recovery (DESIGN.md §13) --------------------------------------------
   /// Self-healing pass; any surviving rank may call it (not collective).
@@ -193,8 +188,9 @@ class KvStore {
   ScrubResult scrub(int shard);
   /// One-sided read of the current routing generation (even = stable).
   std::uint64_t generation();
-  /// Re-fetches a consistent {generation, table} pair (retries while a
-  /// reconfiguration is in flight) and re-derives degraded()/cache state.
+  /// Re-fetches a consistent {generation, table} pair — the generation
+  /// re-read after the table get, retried until the pair matches and is
+  /// stable (even) — and re-derives degraded() and the client records.
   rdma::OpStatus refresh_routing();
   /// Physical copy of `shard` currently serving as primary/replica.
   Copy copy_of(int shard, bool replica) const;
@@ -256,15 +252,8 @@ class KvStore {
   int spare_slots() const { return cfg_.spare_factor * shards_per_rank_; }
   /// Byte offset of a physical copy's region in its host rank's window.
   std::size_t copy_base(const Copy& c) const;
-  std::size_t epoch_off_of(const Copy& c) const { return copy_base(c); }
   BucketLayout layout_of(const Copy& c) const;
-  /// Compatibility wrappers routing through the fetched table.
-  std::size_t region_base(int shard, bool replica) const {
-    return copy_base(copy_of(shard, replica));
-  }
-  std::size_t epoch_off(int shard, bool replica) const {
-    return region_base(shard, replica);
-  }
+  /// Compatibility wrapper routing through the fetched table.
   BucketLayout layout_for(int shard, bool replica) const {
     return layout_of(copy_of(shard, replica));
   }
@@ -281,11 +270,8 @@ class KvStore {
   /// Classifies a generation word that differs from gen_seen_: refreshes
   /// on a stable (even) generation, and always retires retry_routing.
   rdma::OpStatus handle_gen_mismatch(std::uint64_t gen);
-  /// Consistent {generation, table} fetch: generation re-read after the
-  /// table get, retried until the pair matches and is stable (even).
-  rdma::OpStatus fetch_routing();
   /// Installs a freshly fetched table: recomputes degraded() from
-  /// liveness and drops caches of shards whose entries moved.
+  /// liveness and drops the records of shards whose entries moved.
   void apply_routing(const std::vector<std::uint64_t>& old);
   /// Raw one-sided table get, parity-blind (coordinator-internal).
   rdma::OpStatus raw_fetch_table(std::vector<std::uint64_t>* table);
@@ -296,9 +282,8 @@ class KvStore {
   /// affected pairs, release the generation.
   rdma::OpStatus coordinate(std::uint64_t gen, RecoveryReport* rep);
   /// Picks a spare-bank slot on the first alive rank after `owner_rank`
-  /// (never owner_rank itself); occupancy derived from the routing table.
-  Copy pick_spare(int owner_rank, const std::vector<std::uint64_t>& table,
-                  std::vector<std::uint8_t>* spare_used) const;
+  /// (never owner_rank itself) that `spare_used` marks free.
+  Copy pick_spare(int owner_rank, std::vector<std::uint8_t>* spare_used) const;
   /// Blocking version-winner repair of one diverged cell (see scrub()).
   rdma::OpStatus repair_cell(const Copy& loser, std::size_t cell_off,
                              std::uint64_t locked_ver, std::uint64_t key,
@@ -339,6 +324,24 @@ class KvStore {
                               std::uint64_t stuck_ver);
   bool any_peer_dead() const;
 
+  // Client record of a key: the cell each copy ([0] primary, [1] replica)
+  // holds it in and a version it held there (0 = none), plus the value a
+  // get's snapshot read at the primary version. Versions only grow and a
+  // cell's key and value change only under its lock, so a lock CAS
+  // expecting ver[c], or a get reading ver[0] back, succeeds only if nobody
+  // touched the cell since.
+  struct Record {
+    std::size_t cell[2] = {};
+    std::uint64_t ver[2] = {};
+    std::uint64_t value = 0;
+    bool cached = false;  ///< `value` was read at ver[0] in cell[0]
+  };
+  /// Files {cell, ver} as copy `c`'s entry in `key`'s record, unless the
+  /// entry already names a newer version of that cell; a new primary entry
+  /// drops the cached value.
+  Record& note(int shard, std::uint64_t key, int c, std::size_t cell,
+               std::uint64_t ver);
+
   KvConfig cfg_;
   int nranks_ = 0;
   int rank_ = -1;
@@ -348,21 +351,7 @@ class KvStore {
   std::vector<std::uint64_t> routing_;  ///< pack(owner) | pack(replica)<<32
   std::uint64_t gen_seen_ = 0;          ///< generation the table was read at
   std::vector<bool> degraded_;          ///< per shard, client-local view
-
-  // Epoch-stamped cache: entries of shard s are valid iff the shard's
-  // current epoch equals epoch_seen_[s].
-  std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> cache_;
-  std::vector<std::uint64_t> epoch_seen_;
-
-  // Version hints, per shard and key: the cell each copy ([0] primary,
-  // [1] replica) holds the key in and the version this client released
-  // there (0 = none). Only ever the expected value of a lock CAS; dropped
-  // with the cache when a shard's copies move.
-  struct Hint {
-    std::size_t cell[2] = {};
-    std::uint64_t ver[2] = {};
-  };
-  std::vector<std::unordered_map<std::uint64_t, Hint>> hints_;
+  std::vector<std::unordered_map<std::uint64_t, Record>> records_;
   KvStats stats_;
 };
 

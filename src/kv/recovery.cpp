@@ -246,11 +246,9 @@ rdma::OpStatus KvStore::repair_cell(const Copy& loser, std::size_t cell_off,
   // on the next scrub pass; never release below our own lock.
   std::uint64_t rel = locked_ver + 2;
   if ((winner_ver & 1) == 0 && winner_ver > rel) rel = winner_ver;
+  // The release moves the version: every cached record of the cell misses.
   const auto relst = amo_write(loser.rank, cell_off + kVerOff, rel);
-  if (st == rdma::OpStatus::ok) st = relst;
-  if (st != rdma::OpStatus::ok) return st;
-  // Invalidate cached views of the repaired region.
-  return amo_add(loser.rank, epoch_off_of(loser), 1);
+  return st == rdma::OpStatus::ok ? relst : st;
 }
 
 // --- scrub -------------------------------------------------------------------
@@ -279,9 +277,7 @@ ScrubResult KvStore::scrub(int shard) {
 // --- spare placement ---------------------------------------------------------
 
 Copy KvStore::pick_spare(int owner_rank,
-                         const std::vector<std::uint64_t>& table,
                          std::vector<std::uint8_t>* spare_used) const {
-  (void)table;  // occupancy is pre-scanned into spare_used by coordinate()
   // First alive rank after the surviving copy's host (never the host
   // itself: co-locating both copies would void the redundancy), first free
   // spare-bank slot on it.
@@ -314,14 +310,10 @@ rdma::OpStatus KvStore::coordinate(std::uint64_t gen, RecoveryReport* rep) {
   std::vector<std::uint8_t> spare_used(
       static_cast<std::size_t>(nranks_ * spare_slots()), 0);
   for (const auto w : table) {
-    const Copy a = unpack_copy(static_cast<std::uint32_t>(w));
-    const Copy b = unpack_copy(static_cast<std::uint32_t>(w >> 32));
-    if (a.bank == 2 && a.rank >= 0) {
-      spare_used[static_cast<std::size_t>(a.rank * spare_slots() + a.slot)] =
-          1;
-    }
-    if (b.bank == 2 && b.rank >= 0) {
-      spare_used[static_cast<std::size_t>(b.rank * spare_slots() + b.slot)] =
+    for (const std::uint64_t half : {w, w >> 32}) {
+      const Copy c = unpack_copy(static_cast<std::uint32_t>(half));
+      if (c.bank != 2 || c.rank < 0) continue;
+      spare_used[static_cast<std::size_t>(c.rank * spare_slots() + c.slot)] =
           1;
     }
   }
@@ -351,7 +343,7 @@ rdma::OpStatus KvStore::coordinate(std::uint64_t gen, RecoveryReport* rep) {
       p.promoted = !pa;              // the primary died: replica promotes
       const Copy keep = pa ? prim : repl;
       p.src = pa ? repl : prim;      // drain the dead copy's frozen image
-      p.dst = pick_spare(keep.rank, table, &spare_used);
+      p.dst = pick_spare(keep.rank, &spare_used);
       FOMPI_REQUIRE(p.dst.rank >= 0, ErrClass::no_mem,
                     "kv recovery: spare bank exhausted among survivors");
       p.word = static_cast<std::uint64_t>(pack_copy(keep)) |
@@ -516,7 +508,7 @@ RecoveryReport KvStore::heal() {
         }
       }
       if (settled || g != first_even) {
-        st = fetch_routing();
+        st = refresh_routing();
         if (st != rdma::OpStatus::ok) {
           rep.status = st;
           return rep;

@@ -7,8 +7,8 @@ namespace fompi::sim {
 
 namespace {
 
-// NIC-served ops of the uncached read: {epoch, v1}, the cell rget, v2.
-constexpr int kUncachedOps = 4;
+// NIC-served ops of the uncached read: v1, the cell rget, v2.
+constexpr int kUncachedOps = 3;
 // A top cell: {key, ver, val}.
 constexpr std::size_t kCellBytes = 24;
 // Dependent rounds of a cold top-cell put; both copies share them.
@@ -20,9 +20,7 @@ double amo_us(const KvParams& p) { return p.net.amo_latency_ns() / 1e3; }
 
 double kv_uncached_read_us(const KvParams& p) {
   const rdma::NetworkModel& n = p.net;
-  return (2.0 * n.amo_latency_ns() + n.inter_overhead_ns +
-          n.get_latency_ns(kCellBytes)) /
-         1e3;
+  return (2.0 * n.amo_latency_ns() + n.get_latency_ns(kCellBytes)) / 1e3;
 }
 
 double kv_read_us(const KvParams& p, bool degraded) {
@@ -90,8 +88,8 @@ double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
 }
 
 double kv_post_recovery_p99_us(const KvParams& p) {
-  // The generation check rides the epoch check (overlapped AMOs), so the
-  // healed read path's tail equals the healthy tail.
+  // The generation check rides the first round's version read (overlapped
+  // AMOs), so the healed read path's tail equals the healthy tail.
   return kv_read_p99_us(p, /*degraded=*/false);
 }
 

@@ -19,12 +19,13 @@ struct KvParams {
   /// overhead (which also bounds one shard owner's served-AMO rate), the
   /// cell rget and the BTE drain of recovery.
   rdma::NetworkModel net{};
-  /// Remote words touched by a cache-validated hit: the shard epoch check.
+  /// Remote words touched by a cache-validated hit: the cached cell's
+  /// version read.
   int cached_amos = 1;
   /// Remote ops of a cold top-cell put against one copy: {version read,
-  /// claim CAS}, lock CAS, value write, {release CAS, epoch bump} — four
-  /// dependent rounds.
-  int put_amos = 6;
+  /// claim CAS}, lock CAS, value write, release CAS — four dependent
+  /// rounds.
+  int put_amos = 5;
   bool replicate = true;     ///< puts fan out to the replica region (x2)
   double hit_rate = 0.80;    ///< healthy-mode cache hit fraction
   double read_ratio = 0.95;  ///< fraction of client ops that are gets
@@ -39,9 +40,8 @@ struct KvParams {
   int scrub_amos = 8;
 };
 
-/// Modeled uncached get (us), a top-cell snapshot in three rounds: the
-/// {epoch, v1} AMO pair (one AMO plus one injection overhead), the 24-byte
-/// cell rget, the v2 AMO.
+/// Modeled uncached get (us), a top-cell snapshot in three rounds: the v1
+/// AMO, the 24-byte cell rget, the v2 AMO.
 double kv_uncached_read_us(const KvParams& p);
 
 /// Mean modeled get latency (us). Degraded mode (owner dead, replica
@@ -86,9 +86,10 @@ double kv_recovery_us(const KvParams& p, std::uint64_t shard_bytes,
                       std::uint64_t cells, std::uint64_t chunk = 2048);
 
 /// Modeled post-recovery p99 get latency (us): recovery restores the
-/// healthy read path exactly (the generation check OVERLAPS the epoch
-/// check — two AMOs in flight together — so it adds no serialized round
-/// trip and the healthy cached/uncached AMO budgets are unchanged).
+/// healthy read path exactly (the generation check OVERLAPS the first
+/// round's version read — two AMOs in flight together — so it adds no
+/// serialized round trip and the healthy cached/uncached AMO budgets are
+/// unchanged).
 double kv_post_recovery_p99_us(const KvParams& p);
 
 }  // namespace fompi::sim

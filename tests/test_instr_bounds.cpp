@@ -180,14 +180,15 @@ TEST(InstrBounds, PscwMessageCountsMatchPaper) {
 // count below is an exact function of the protocol. A round is a set of
 // ops issued together and awaited together (Op::kv_round).
 //
-// Gets (rank 1; owner rank 0): a cold get is a cell snapshot — {epoch, v1}
-// overlapped, one cell rget, v2 — and a chain walk reads each hop's
-// {key, next} with one rget.
+// Gets (rank 1; owner rank 0): a cold get is a cell snapshot — v1, one
+// cell rget, v2 — and a chain walk reads each hop's {key, next} with one
+// rget. A cached record is validated by its own cell's version alone.
 //
 // Puts (rank 2; owner rank 0, replica rank 1): both copies advance in
 // lockstep, so the replica's ops share every round. Per copy, a cold
-// top-cell put is {version, claim CAS} > lock CAS > value > {release,
-// epoch}, and a hinted put replaces the first two rounds with one lock CAS.
+// top-cell put is {version, claim CAS} > lock CAS > value > release, and
+// a recorded put replaces the first two rounds with one lock CAS. No
+// write touches a word outside its own cell.
 
 namespace {
 
@@ -221,7 +222,7 @@ void with_remote_store(kv::KvConfig cfg,
 /// Runs `setup(store)` on rank 1, then `body(store)` on rank 2, of a
 /// 3-rank fabric holding a one-shard store owned by rank 0 with its
 /// replica on rank 1: rank 2 reaches both copies over the network and
-/// holds no version hint for what rank 1 wrote.
+/// holds no record of what rank 1 wrote.
 void with_replicated_store(kv::KvConfig cfg,
                            const std::function<void(kv::KvStore&)>& setup,
                            const std::function<void(kv::KvStore&)>& body) {
@@ -237,6 +238,28 @@ void with_replicated_store(kv::KvConfig cfg,
       ASSERT_EQ(store.replica_of(0), 1);
       body(store);
     }
+    ctx.barrier();
+    store.destroy(ctx);
+  }, opts);
+}
+
+/// Runs `warm(store)` on rank 1, `write(store)` on rank 2, then
+/// `check(store)` on rank 1 again, of the same 3-rank, one-shard layout:
+/// rank 1 reads the primary (rank 0) over the network.
+void with_reader_and_writer(kv::KvConfig cfg,
+                            const std::function<void(kv::KvStore&)>& warm,
+                            const std::function<void(kv::KvStore&)>& write,
+                            const std::function<void(kv::KvStore&)>& check) {
+  cfg.shards = 1;
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  fabric::run_ranks(3, [&](RankCtx& ctx) {
+    kv::KvStore store(ctx, cfg);
+    if (ctx.rank() == 1) warm(store);
+    ctx.barrier();
+    if (ctx.rank() == 2) write(store);
+    ctx.barrier();
+    if (ctx.rank() == 1) check(store);
     ctx.barrier();
     store.destroy(ctx);
   }, opts);
@@ -276,7 +299,7 @@ TEST(InstrBounds, KvWarmHitIsOneAmo) {
     ASSERT_EQ(store.put(7, 70), rdma::OpStatus::ok);
     get_cost(store, 7, true, 70);  // fills the cache
     const auto c = get_cost(store, 7, true, 70);
-    EXPECT_EQ(c.amos, 1u) << "a warm hit is the epoch check alone";
+    EXPECT_EQ(c.amos, 1u) << "a warm hit is the cell's version read alone";
     EXPECT_EQ(c.gets, 0u);
     EXPECT_EQ(c.rounds, 1u);
   });
@@ -286,16 +309,16 @@ TEST(InstrBounds, KvTopCellMissIsThreeAmosAndOneGet) {
   with_remote_store({}, [](kv::KvStore& store) {
     ASSERT_EQ(store.put(7, 70), rdma::OpStatus::ok);
     const auto c = get_cost(store, 7, true, 70);
-    EXPECT_EQ(c.amos, 3u) << "{epoch, v1} + v2";
+    EXPECT_EQ(c.amos, 2u) << "v1 + v2";
     EXPECT_EQ(c.gets, 1u) << "one {key, version, value} rget";
-    EXPECT_EQ(c.rounds, 3u) << "{epoch, v1} > rget > v2";
+    EXPECT_EQ(c.rounds, 3u) << "v1 > rget > v2";
   });
 }
 
 TEST(InstrBounds, KvUnclaimedSlotMissIsTwoAmosAndOneGet) {
   with_remote_store({}, [](kv::KvStore& store) {
     const auto c = get_cost(store, 7, false);  // empty store
-    EXPECT_EQ(c.amos, 2u) << "{epoch, v1}, no v2 for an empty top cell";
+    EXPECT_EQ(c.amos, 1u) << "v1, no v2 for an empty top cell";
     EXPECT_EQ(c.gets, 1u);
     EXPECT_EQ(c.rounds, 2u);
   });
@@ -314,21 +337,62 @@ TEST(InstrBounds, KvChainKeyIsFiveAmosAndOneGetPerHopPlusTwo) {
     for (std::uint64_t hops = 1; hops <= 4; ++hops) {
       const std::uint64_t key = 6 - hops;
       const auto c = get_cost(store, key, true, key * 10);
-      EXPECT_EQ(c.amos, 5u) << "{epoch, v1} + head + snapshot v1/v2, "
-                            << hops << " hops";
+      EXPECT_EQ(c.amos, 4u) << "v1 + head + snapshot v1/v2, " << hops
+                            << " hops";
       EXPECT_EQ(c.gets, hops + 2) << "top + one per hop + snapshot, "
                                   << hops << " hops";
       EXPECT_EQ(c.rounds, hops + 5)
-          << "{epoch, v1} > top > head > hops > {v1, rget} > v2";
+          << "v1 > top > head > hops > {v1, rget} > v2";
     }
   });
+}
+
+TEST(InstrBounds, KvWriteToAnotherKeyKeepsTheHit) {
+  with_reader_and_writer(
+      {},
+      [](kv::KvStore& store) {
+        ASSERT_EQ(store.put(7, 70), rdma::OpStatus::ok);
+        get_cost(store, 7, true, 70);  // caches key 7
+      },
+      [](kv::KvStore& store) {
+        ASSERT_EQ(store.put(8, 80), rdma::OpStatus::ok);  // the one shard
+      },
+      [](kv::KvStore& store) {
+        const auto c = get_cost(store, 7, true, 70);
+        EXPECT_EQ(c.amos, 1u) << "a write to another key invalidated the hit";
+        EXPECT_EQ(c.gets, 0u);
+        EXPECT_EQ(c.rounds, 1u);
+        get_cost(store, 8, true, 80);
+      });
+}
+
+TEST(InstrBounds, KvStaleChainRecordSkipsTheWalk) {
+  kv::KvConfig cfg;
+  cfg.table_slots = 1;  // every key collides on the one top slot
+  cfg.heap_slots = 16;
+  with_reader_and_writer(
+      cfg,
+      [](kv::KvStore& store) {
+        for (std::uint64_t k = 1; k <= 5; ++k) {
+          ASSERT_EQ(store.put(k, k * 10), rdma::OpStatus::ok);
+        }
+        get_cost(store, 2, true, 20);  // walks 4 hops, caches key 2's cell
+      },
+      [](kv::KvStore& store) {
+        ASSERT_EQ(store.put(2, 21), rdma::OpStatus::ok);
+      },
+      [](kv::KvStore& store) {
+        const auto c = get_cost(store, 2, true, 21);
+        EXPECT_EQ(c.amos, 2u) << "the recorded cell's version, then v2";
+        EXPECT_EQ(c.gets, 1u) << "one rget of the recorded cell, no walk";
+        EXPECT_EQ(c.rounds, 3u) << "version > rget > v2";
+      });
 }
 
 TEST(InstrBounds, KvPutColdTopCellIsTwelveAmosInFourRounds) {
   with_replicated_store({}, [](kv::KvStore&) {}, [](kv::KvStore& store) {
     const auto c = put_cost(store, 7, 70);
-    EXPECT_EQ(c.amos, 12u)
-        << "per copy: version + claim, lock, value, release + epoch";
+    EXPECT_EQ(c.amos, 10u) << "per copy: version + claim, lock, value, release";
     EXPECT_EQ(c.gets + c.puts, 0u);
     EXPECT_EQ(c.rounds, 4u) << "the replica rides the primary's rounds";
   });
@@ -336,10 +400,10 @@ TEST(InstrBounds, KvPutColdTopCellIsTwelveAmosInFourRounds) {
 
 TEST(InstrBounds, KvPutWarmHintIsEightAmosInThreeRounds) {
   with_replicated_store({}, [](kv::KvStore&) {}, [](kv::KvStore& store) {
-    put_cost(store, 7, 70);  // leaves this client's hint
+    put_cost(store, 7, 70);  // leaves this client's record
     for (std::uint64_t i = 1; i <= 3; ++i) {
       const auto c = put_cost(store, 7, 70 + i);
-      EXPECT_EQ(c.amos, 8u) << "per copy: hinted lock, value, release + epoch";
+      EXPECT_EQ(c.amos, 6u) << "per copy: recorded lock, value, release";
       EXPECT_EQ(c.rounds, 3u);
     }
   });
@@ -350,10 +414,10 @@ TEST(InstrBounds, KvPutOneCopyKeepsTheRoundCount) {
   cfg.replicate = false;
   with_replicated_store(cfg, [](kv::KvStore&) {}, [](kv::KvStore& store) {
     const auto cold = put_cost(store, 7, 70);
-    EXPECT_EQ(cold.amos, 6u) << "one copy's cold put";
+    EXPECT_EQ(cold.amos, 5u) << "one copy's cold put";
     EXPECT_EQ(cold.rounds, 4u);
     const auto warm = put_cost(store, 7, 71);
-    EXPECT_EQ(warm.amos, 4u) << "one copy's hinted put";
+    EXPECT_EQ(warm.amos, 3u) << "one copy's recorded put";
     EXPECT_EQ(warm.rounds, 3u);
   });
 }
@@ -377,11 +441,10 @@ TEST(InstrBounds, KvPutChainKeyIsWalkRoundsPlusThree) {
           // Walk: {version, claim} > head > one rget per hop, both copies.
           const std::uint64_t walk = 2 + hops;
           EXPECT_EQ(c.rounds, walk + 3)
-              << "walk > {lock, key} > value > {release, epoch}, " << hops
-              << " hops";
+              << "walk > {lock, key} > value > release, " << hops << " hops";
           EXPECT_EQ(c.gets, 2 * hops) << "one rget per hop per copy";
-          EXPECT_EQ(c.amos, 16u) << "per copy: version + claim, head, lock + "
-                                    "key, value, release + epoch";
+          EXPECT_EQ(c.amos, 14u) << "per copy: version + claim, head, lock + "
+                                    "key, value, release";
         }
         // A new key walks the whole 4-hop chain, then fetch-adds a cell,
         // rputs it and links it: walk + 3 as well.

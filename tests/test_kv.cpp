@@ -1,6 +1,7 @@
-// KV service: sharded routing, versioned one-sided reads, epoch-stamped
-// client caching, the Zipfian fleet generator, seqlock coherence under a
-// concurrent writer, seeded chaos determinism, and shard-owner failover.
+// KV service: sharded routing, versioned one-sided reads, per-cell
+// validated client caching and its coherence under concurrent writers, the
+// Zipfian fleet generator, seqlock coherence under a concurrent writer,
+// seeded chaos determinism, shard-owner failover and self-healing recovery.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -169,10 +170,10 @@ TEST(Kv, CacheHitsAfterFirstReadAndInvalidatesOnWrite) {
       ASSERT_EQ(store.get(77, &v, &found), OpStatus::ok);  // warm: hit
       EXPECT_EQ(store.stats().cache_hits, 1u);
       EXPECT_EQ(v, 100u);
-      // A write bumps the shard epoch: the next read must revalidate.
+      // A write moves the cell's version: the next read must revalidate.
       ASSERT_EQ(store.put(77, 200), OpStatus::ok);
       ASSERT_EQ(store.get(77, &v, &found), OpStatus::ok);
-      EXPECT_EQ(v, 200u) << "cache served a stale value across an epoch";
+      EXPECT_EQ(v, 200u) << "cache served a stale value across a write";
       EXPECT_EQ(store.stats().cache_misses, 2u);
       ASSERT_EQ(store.get(77, &v, &found), OpStatus::ok);  // warm again
       EXPECT_EQ(store.stats().cache_hits, 2u);
@@ -183,7 +184,7 @@ TEST(Kv, CacheHitsAfterFirstReadAndInvalidatesOnWrite) {
 
 TEST(Kv, RemoteWriterInvalidatesPeerCache) {
   // Rank 0 caches a key; rank 1 overwrites it; rank 0's next read must
-  // observe the new value through the epoch check (no stale serve).
+  // observe the new value through the version check (no stale serve).
   fabric::run_ranks(2, [](RankCtx& ctx) {
     KvStore store(ctx);
     std::uint64_t v = 0;
@@ -207,6 +208,304 @@ TEST(Kv, RemoteWriterInvalidatesPeerCache) {
     ctx.barrier();
     store.destroy(ctx);
   });
+}
+
+// --- cache coherence under concurrent writers ---------------------------------
+//
+// A cached record is validated by its own cell's version only, so these
+// tests drive every way a cell can change under a reader's warm record:
+// writes to the key and to keys sharing its shard and chains, an erase
+// whose cell another key reclaims, and a scrub repair. It also trusts that
+// a key lives in one cell, which the last two tests hold puts to.
+
+TEST(KvCache, WarmReadersNeverSeeForeignOrOlderValues) {
+  // Ranks 2 and 3 put increasing, key-tagged values into keys of their own;
+  // the keys share two shards of four top slots each, so most live in
+  // chains. Ranks 0 and 1 read every key with warm caches the whole time.
+  // A get must return its own key's value, never an older one than this
+  // reader already saw; after a round's puts returned and a barrier, every
+  // reader sees each key's last value.
+  constexpr int kRanks = 4;
+  constexpr std::uint64_t kKeys = 24;
+  constexpr int kRounds = 5, kPutsPerRound = 60;
+  KvConfig cfg;
+  cfg.shards = 2;
+  cfg.table_slots = 4;
+  cfg.heap_slots = 64;
+  const auto tagged = [](std::uint64_t key, std::uint64_t seq) {
+    return key << 32 | seq;
+  };
+  const auto writer_of = [](std::uint64_t key) {
+    return 2 + static_cast<int>(key % 2);
+  };
+  std::vector<std::atomic<std::uint64_t>> last(kKeys + 1);
+  std::atomic<int> writing{0};
+  fabric::run_ranks(kRanks, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    const int r = ctx.rank();
+    for (std::uint64_t k = 1; k <= kKeys; ++k) {
+      if (writer_of(k) != r) continue;
+      EXPECT_EQ(store.put(k, tagged(k, 1)), OpStatus::ok);
+      last[k] = tagged(k, 1);
+    }
+    // The first violation is reported; later ones would only repeat it.
+    std::vector<std::uint64_t> seen(kKeys + 1, 0);
+    bool coherent = true;
+    const auto check_get = [&](std::uint64_t k) {
+      std::uint64_t v = 0;
+      bool found = false;
+      const OpStatus st = store.get(k, &v, &found);
+      if (!coherent) return;
+      coherent = st == OpStatus::ok && found && v >> 32 == k && v >= seen[k];
+      EXPECT_TRUE(coherent)
+          << "get(" << k << ") on rank " << r << ": " << rdma::to_string(st)
+          << ", found " << found << ", value " << v << " after " << seen[k]
+          << " (another key's value, or older than one already seen)";
+      seen[k] = v;
+    };
+    Rng rng(0xcac4e + static_cast<std::uint64_t>(r));
+    std::uint64_t seq = 1;
+    for (int round = 0; round < kRounds; ++round) {
+      if (r == 0) writing = 2;
+      ctx.barrier();
+      if (r >= 2) {
+        for (int i = 0; i < kPutsPerRound; ++i) {
+          std::uint64_t k = rng.below(kKeys) + 1;
+          if (writer_of(k) != r) k = k % kKeys + 1;
+          const std::uint64_t v = tagged(k, ++seq);
+          EXPECT_EQ(store.put(k, v), OpStatus::ok);
+          last[k] = v;
+        }
+        writing.fetch_sub(1);
+      } else {
+        while (writing.load() > 0) check_get(rng.below(kKeys) + 1);
+      }
+      ctx.barrier();
+      if (r < 2) {
+        for (std::uint64_t k = 1; k <= kKeys && coherent; ++k) {
+          check_get(k);
+          EXPECT_EQ(seen[k], last[k].load())
+              << "key " << k << ": a returned put is invisible after a barrier";
+        }
+      }
+      ctx.barrier();
+    }
+    if (r < 2) {
+      EXPECT_GT(store.stats().cache_hits, 0u) << "the readers never hit";
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  });
+}
+
+TEST(KvCache, ErasedChainKeyCellReclaimedByAnotherKeyMisses) {
+  // One top slot: kTop takes it and kA lives in the chain. Rank 0 caches
+  // kA; rank 1 erases kA and puts kB, which reclaims kA's tombstoned
+  // chain cell. Rank 0's record now names a cell holding kB: its get of kA
+  // must miss, not return kB's value. Rank 1 then re-puts kA into a fresh
+  // cell, and rank 0 must find it there.
+  constexpr std::uint64_t kTop = 3, kA = 5, kB = 9;
+  KvConfig cfg;
+  cfg.shards = 1;
+  cfg.table_slots = 1;
+  cfg.heap_slots = 16;
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    std::uint64_t v = 0;
+    bool found = false;
+    if (ctx.rank() == 1) {
+      EXPECT_EQ(store.put(kTop, 30), OpStatus::ok);
+      EXPECT_EQ(store.put(kA, 50), OpStatus::ok);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(store.get(kA, &v, &found), OpStatus::ok);
+      EXPECT_EQ(store.get(kA, &v, &found), OpStatus::ok);
+      EXPECT_EQ(v, 50u);
+      EXPECT_EQ(store.stats().cache_hits, 1u) << "kA was not cached";
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      EXPECT_EQ(store.erase(kA), OpStatus::ok);
+      EXPECT_EQ(store.put(kB, 90), OpStatus::ok);  // reclaims kA's cell
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(store.get(kA, &v, &found), OpStatus::ok);
+      EXPECT_FALSE(found) << "erased key served, value " << v;
+      EXPECT_EQ(store.get(kB, &v, &found), OpStatus::ok);
+      EXPECT_TRUE(found);
+      EXPECT_EQ(v, 90u);
+      EXPECT_EQ(store.stats().cache_hits, 1u);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      EXPECT_EQ(store.put(kA, 51), OpStatus::ok);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(store.get(kA, &v, &found), OpStatus::ok);
+        EXPECT_TRUE(found);
+        EXPECT_EQ(v, 51u);
+      }
+      EXPECT_EQ(store.stats().cache_hits, 2u) << "kA's new cell not cached";
+      EXPECT_EQ(store.get(kTop, &v, &found), OpStatus::ok);
+      EXPECT_EQ(v, 30u);
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  }, opts);
+}
+
+TEST(KvCache, ScrubRepairOfACachedCellMisses) {
+  // Rank 2 caches a key of rank 0's shard. Rank 1 diverges the pair with a
+  // newer replica-only write and scrubs it: the repair rewrites the primary
+  // cell under its lock. Rank 2's warm record must miss and return the
+  // repaired value.
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  fabric::run_ranks(3, [&](RankCtx& ctx) {
+    KvStore store(ctx);
+    const auto k = key_owned_by(store, 0);
+    std::uint64_t v = 0;
+    bool found = false;
+    if (ctx.rank() == 1) {
+      EXPECT_EQ(store.replica_of(store.shard_of(k)), 1);
+      EXPECT_EQ(store.put(k, 10), OpStatus::ok);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 2) {
+      EXPECT_EQ(store.get(k, &v, &found), OpStatus::ok);
+      EXPECT_EQ(store.get(k, &v, &found), OpStatus::ok);
+      EXPECT_EQ(v, 10u);
+      EXPECT_EQ(store.stats().cache_hits, 1u);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      EXPECT_EQ(store.debug_write_copy(k, /*replica=*/true, 11), OpStatus::ok);
+      const auto r = store.scrub(store.shard_of(k));
+      EXPECT_EQ(r.status, OpStatus::ok);
+      EXPECT_EQ(r.repairs, 1u);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 2) {
+      const auto misses = store.stats().cache_misses;
+      EXPECT_EQ(store.get(k, &v, &found), OpStatus::ok);
+      EXPECT_TRUE(found);
+      EXPECT_EQ(v, 11u) << "the warm record outlived the repair";
+      EXPECT_EQ(store.stats().cache_hits, 1u);
+      EXPECT_EQ(store.stats().cache_misses, misses + 1);
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  }, opts);
+}
+
+TEST(KvCache, PutNeverReclaimsATombstoneAheadOfItsKey) {
+  // kZ takes the one top slot and kA the chain. Rank 0 caches kA. Rank 1
+  // erases kZ, and rank 2, which holds no record of kA, puts kA: the walk
+  // must find kA in the chain and update it there, not reclaim the
+  // tombstoned top cell ahead of it — a second cell of kA would hide every
+  // later write from rank 0's record, or rank 0's reads from rank 1's
+  // recorded writes.
+  constexpr std::uint64_t kZ = 3, kA = 5;
+  KvConfig cfg;
+  cfg.shards = 1;
+  cfg.table_slots = 1;
+  cfg.heap_slots = 16;
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  fabric::run_ranks(3, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    const auto expect_kA = [&](std::uint64_t want) {
+      std::uint64_t v = 0;
+      bool found = false;
+      EXPECT_EQ(store.get(kA, &v, &found), OpStatus::ok);
+      EXPECT_TRUE(found);
+      EXPECT_EQ(v, want) << "rank " << ctx.rank();
+    };
+    if (ctx.rank() == 1) {
+      EXPECT_EQ(store.put(kZ, 30), OpStatus::ok);
+      EXPECT_EQ(store.put(kA, 50), OpStatus::ok);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) {
+      expect_kA(50);
+      expect_kA(50);  // cached
+    }
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      EXPECT_EQ(store.erase(kZ), OpStatus::ok);
+    }
+    ctx.barrier();
+    if (ctx.rank() == 2) {
+      EXPECT_EQ(store.put(kA, 51), OpStatus::ok);
+    }
+    ctx.barrier();
+    expect_kA(51);
+    ctx.barrier();
+    if (ctx.rank() == 1) {
+      EXPECT_EQ(store.put(kA, 52), OpStatus::ok);
+    }
+    ctx.barrier();
+    expect_kA(52);
+    ctx.barrier();
+    store.destroy(ctx);
+  }, opts);
+}
+
+TEST(KvCache, RacingInsertsOfOneNewChainKeyLeaveOneCell) {
+  // Ranks 1 and 2 insert the same new chain keys at once. The loser of a
+  // head CAS must find the winner's cell of its key before linking its
+  // own, or the key would live in two cells. Then rank 0 caches every key,
+  // and ranks 1 and 2 overwrite them in turn, each through its own record:
+  // rank 0 must see each write.
+  constexpr std::uint64_t kKeys = 48;
+  KvConfig cfg;
+  cfg.shards = 1;
+  cfg.table_slots = 1;
+  cfg.heap_slots = 256;
+  cfg.replicate = false;
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  fabric::run_ranks(3, [&](RankCtx& ctx) {
+    KvStore store(ctx, cfg);
+    const auto expect_all = [&](std::uint64_t tag) {
+      for (std::uint64_t k = 2; k <= kKeys + 1; ++k) {
+        std::uint64_t v = 0;
+        bool found = false;
+        EXPECT_EQ(store.get(k, &v, &found), OpStatus::ok);
+        ASSERT_TRUE(found);
+        ASSERT_EQ(v, k * 1000 + tag) << "key " << k;
+      }
+    };
+    if (ctx.rank() == 0) {
+      EXPECT_EQ(store.put(1, 1), OpStatus::ok);  // top
+    }
+    ctx.barrier();
+    if (ctx.rank() > 0) {
+      for (std::uint64_t k = 2; k <= kKeys + 1; ++k) {
+        EXPECT_EQ(store.put(k, k * 1000 + 7), OpStatus::ok);
+      }
+    }
+    ctx.barrier();
+    if (ctx.rank() == 0) expect_all(7);
+    for (const int writer : {1, 2, 1}) {
+      ctx.barrier();
+      if (ctx.rank() == writer) {
+        for (std::uint64_t k = 2; k <= kKeys + 1; ++k) {
+          EXPECT_EQ(store.put(k, k * 1000 + 10 * writer), OpStatus::ok);
+        }
+      }
+      ctx.barrier();
+      if (ctx.rank() == 0) expect_all(10 * static_cast<std::uint64_t>(writer));
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  }, opts);
 }
 
 // --- Zipfian generator --------------------------------------------------------
@@ -717,7 +1016,7 @@ TEST(KvRecovery, OwnerKillPromotesAndRestoresRedundancy) {
           EXPECT_EQ(v, k + 7000);
         }
         // Cache leverage is back: reads of recovered shards revalidate
-        // against the promoted primary's epoch and hit.
+        // against the promoted primary's cell versions and hit.
         {
           const auto hits_before = store.stats().cache_hits;
           std::uint64_t v = 0;
@@ -727,13 +1026,17 @@ TEST(KvRecovery, OwnerKillPromotesAndRestoresRedundancy) {
           EXPECT_GT(store.stats().cache_hits, hits_before)
               << "recovered shard no longer caches";
         }
-        // Writes replicate through to the fresh spare copy again.
+        // Writes replicate through to the fresh spare copy again: after
+        // the put, the pair holds the same cells, so a scrub finds nothing
+        // to repair (a copy that missed the write would diverge in the
+        // fresh key's cell).
         if (ctx.rank() == 2) {
           const auto fresh = key_owned_by(store, 2, 500000);
           const int s = store.shard_of(fresh);
-          const auto repl_epoch = store.shard_epoch(s, /*replica=*/true);
           ASSERT_EQ(store.put(fresh, 424242), OpStatus::ok);
-          EXPECT_GT(store.shard_epoch(s, /*replica=*/true), repl_epoch)
+          const auto r = store.scrub(s);
+          EXPECT_EQ(r.status, OpStatus::ok);
+          EXPECT_EQ(r.repairs, 0u)
               << "write-through to the recovered replica bank broken";
         }
         survivors.fetch_add(1);
@@ -862,11 +1165,15 @@ TEST(KvRecovery, RereplicationSurvivesSecondOwnerKill) {
   // Kill the owner, heal, then kill the promoted owner: the shard must
   // still serve the original values — this is the drained spare copy
   // (re-replicated from the FIRST victim's frozen image) doing its job.
+  // Rank 2 dies only once its heal returned, i.e. once the first recovery
+  // published its re-replicated copies: a kill at a fixed op count could
+  // land before that and take the shard's last copy with it.
   constexpr int kRanks = 4;
   fabric::FabricOptions opts;
   opts.domain.nranks = kRanks;
   opts.domain.ranks_per_node = 1;
-  opts.domain.fault.kills = {{1, 400}, {2, 3000}};
+  opts.domain.fault.kill_rank = 1;
+  opts.domain.fault.kill_at_op = 400;
   opts.errors_return = true;
   std::atomic<int> final_survivors{0};
   fabric::run_ranks(
@@ -899,14 +1206,11 @@ TEST(KvRecovery, RereplicationSurvivesSecondOwnerKill) {
         while (store.peer_alive(1)) ctx.yield_check();
         heal_until_settled(store, ctx);
         if (ctx.rank() == 2) {
-          // The promoted owner burns ops until its scheduled death; heal()
-          // keeps it routing-current in the meantime.
-          std::uint64_t v = 0;
-          bool found = false;
-          for (int i = 0; i < 300000; ++i) {
-            store.get(dead_keys[0], &v, &found);
-            store.heal();
-          }
+          // The promoted owner dies the way a fault-plan kill does: marked
+          // dead in the liveness table, its thread unwound by
+          // RankKilledError.
+          ctx.fabric().domain().mark_dead(2);
+          throw RankKilledError(2);
           FAIL() << "rank 2 must have been killed";
         }
         while (store.peer_alive(2)) ctx.yield_check();
@@ -1181,10 +1485,12 @@ TEST(KvScrub, RepairsInjectedDivergenceToVersionWinnerAndIsIdempotent) {
       const auto k2 = key_owned_by(store, 0, k1 + 1);
       ASSERT_EQ(store.put(k1, 10), OpStatus::ok);
       ASSERT_EQ(store.put(k2, 20), OpStatus::ok);
-      // Warm the cache so the repair's epoch bump is also exercised.
+      // Warm the cache: the repair must invalidate k1's record.
       std::uint64_t v = 0;
       bool found = false;
       ASSERT_EQ(store.get(k1, &v, &found), OpStatus::ok);
+      ASSERT_EQ(store.get(k1, &v, &found), OpStatus::ok);
+      ASSERT_EQ(store.stats().cache_hits, 1u) << "k1 was not cached";
       // Diverge the pair both ways: k1's replica ahead (higher version),
       // k2's primary ahead.
       ASSERT_EQ(store.debug_write_copy(k1, /*replica=*/true, 111),
@@ -1203,10 +1509,14 @@ TEST(KvScrub, RepairsInjectedDivergenceToVersionWinnerAndIsIdempotent) {
         EXPECT_GE(r2.repairs, 1u);
       }
       // Version winners: k1's replica write (newer) must now be the
-      // primary-visible value; k2's primary write stays authoritative.
+      // primary-visible value; k2's primary write stays authoritative. The
+      // repair moved k1's cell version, so the warm record misses.
+      const auto misses = store.stats().cache_misses;
       ASSERT_EQ(store.get(k1, &v, &found), OpStatus::ok);
       EXPECT_TRUE(found);
       EXPECT_EQ(v, 111u) << "higher-version replica write lost";
+      EXPECT_EQ(store.stats().cache_hits, 1u) << "stale record served";
+      EXPECT_EQ(store.stats().cache_misses, misses + 1);
       ASSERT_EQ(store.get(k2, &v, &found), OpStatus::ok);
       EXPECT_TRUE(found);
       EXPECT_EQ(v, 222u);
