@@ -8,7 +8,9 @@
 //      keys) and the per-op-class latency histograms are merged across
 //      ranks. Under Injection::model wall time tracks the charged Gemini
 //      costs, so the p50/p99 columns are MODELED latencies (see CLAUDE.md);
-//      the sim_kv closed forms are printed beside them.
+//      the sim_kv closed forms are printed beside them. Each row also
+//      counts doorbells and fiber resumes per fleet op: the fibers' rounds
+//      of one scheduler pass share a doorbell.
 //   2. Cache leverage (gated): the version-validated cache hit is one
 //      remote AMO against the versioned read's three rounds, so the
 //      warm-cache modeled get rate must be >= 2x the uncached rate. Three
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/instr.hpp"
 #include "common/timing.hpp"
 #include "kv/kv.hpp"
 #include "simtime/sim_kv.hpp"
@@ -53,6 +56,7 @@ struct SloRow {
   double read_p50_us = 0, read_p99_us = 0;
   double write_p50_us = 0, write_p99_us = 0;
   std::uint64_t reads = 0, writes = 0, cache_hits = 0;
+  std::uint64_t doorbells = 0, switches = 0;  ///< over every rank's fleet
 };
 
 double us(std::uint64_t ns) { return static_cast<double>(ns) / 1e3; }
@@ -76,9 +80,13 @@ SloRow fleet_row(int p, double read_ratio) {
     fc.read_ratio = read_ratio;
     fc.keyspace = kKeyspace;
     fc.seed = 7;
+    const OpCounters before = op_counters();
     const auto res = store.run_fleet(ctx, fc);
+    const OpCounters d = op_counters().since(before);
     {
       std::scoped_lock lock(mu);
+      rowv.doorbells += d.get(Op::doorbell_ring);
+      rowv.switches += d.get(Op::fiber_switch);
       reads.merge(res.read_hist);
       writes.merge(res.write_hist);
       rowv.reads += res.reads;
@@ -392,12 +400,17 @@ int main() {
         "    {\"name\": \"fleet_p%d_r%.0f\", \"ranks\": %d, "
         "\"read_ratio\": %.2f, \"read_p50_us\": %.2f, \"read_p99_us\": %.2f, "
         "\"write_p50_us\": %.2f, \"write_p99_us\": %.2f, \"reads\": %llu, "
-        "\"writes\": %llu, \"cache_hits\": %llu}%s\n",
+        "\"writes\": %llu, \"cache_hits\": %llu, "
+        "\"doorbells_per_op\": %.2f, \"fiber_switch_per_op\": %.2f}%s\n",
         r.ranks, r.read_ratio * 100, r.ranks, r.read_ratio, r.read_p50_us,
         r.read_p99_us, r.write_p50_us, r.write_p99_us,
         static_cast<unsigned long long>(r.reads),
         static_cast<unsigned long long>(r.writes),
         static_cast<unsigned long long>(r.cache_hits),
+        static_cast<double>(r.doorbells) /
+            static_cast<double>(r.reads + r.writes),
+        static_cast<double>(r.switches) /
+            static_cast<double>(r.reads + r.writes),
         i + 1 == slo.size() ? "" : ",");
   }
   std::printf("  ],\n");

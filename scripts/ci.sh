@@ -13,7 +13,9 @@
 #      under the same seeds) repeated to confirm the self-healing
 #      invariants hold across thread schedules, and the KV client-cache
 #      coherence suite (warm readers against concurrent writers) repeated
-#      for the same reason
+#      for the same reason, and the KV fleet and fiber scheduler suites
+#      (the fibers' rounds of one scheduler pass share a doorbell, so pass
+#      boundaries depend on the thread schedule) repeated likewise
 #   3. ThreadSanitizer build + the concurrency-heavy tests (datatype
 #      flatten-cache sharing, RDMA issue paths, locks, comm, accumulate,
 #      flight-recorder tracing, doorbell batching/striping, fault
@@ -69,6 +71,14 @@ python3 perfbench/run.py --selftest
 # erases whose cells other keys reclaim, and scrub repairs. What a reader
 # sees depends on the thread schedule, so the suite runs three times.
 ./build/tests/test_kv --gtest_filter='KvCache.*' --gtest_repeat=3 \
+  --gtest_brief=1
+
+# Shared doorbells: every fiber's round of a scheduler pass rides one
+# doorbell, rung when the runnable queue drains. Which rounds share a pass
+# depends on when their fibers wake, so the suites run three times.
+./build/tests/test_kv --gtest_filter='KvFleet.*' --gtest_repeat=3 \
+  --gtest_brief=1
+./build/tests/test_progress --gtest_filter='Scheduler.*' --gtest_repeat=3 \
   --gtest_brief=1
 
 # Recovery chaos: staggered double kills under seeds 11/22/33 with a

@@ -54,6 +54,7 @@ enum class Op : std::uint32_t {
   kv_drain_chunk,    ///< one re-replication chunk drained (frozen image get)
   kv_recovery,       ///< one completed heal() pass (any outcome)
   kv_round,          ///< one round of a KV get/put: ops overlapped, then awaited
+  kv_write_retry,    ///< KV put found its cell locked by another writer
   kCount,
 };
 

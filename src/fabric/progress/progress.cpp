@@ -309,6 +309,12 @@ Scheduler::HandleWait Scheduler::heap_pop() {
 }
 
 void Scheduler::await_handle(Fiber& f, rdma::Handle h) {
+  // Behind the pass's unrung doorbell the op has no completion time yet.
+  // Park without flushing: ring() gives it one when the pass ends.
+  if (nic_.batch_pending(h)) {
+    doorbell_waits_.push_back(DoorbellWait{&f, h, nullptr, 0});
+    return;
+  }
   const std::uint64_t deadline = nic_.completion_deadline(h);
   // now_cache_ (refreshed by poll_once) instead of a fresh clock read: a
   // ~35 ns read per await is the difference between the saturated pipeline
@@ -323,6 +329,25 @@ void Scheduler::await_handle(Fiber& f, rdma::Handle h) {
     return;
   }
   heap_push(HandleWait{deadline, &f, h, /*epoch=*/false});
+}
+
+void Scheduler::await_round(Fiber& f, const rdma::Handle* handles,
+                            std::size_t n) {
+  std::uint64_t deadline = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (nic_.batch_pending(handles[i])) {
+      doorbell_waits_.push_back(
+          DoorbellWait{&f, rdma::kDoneHandle, handles, n});
+      return;
+    }
+    deadline = std::max(deadline, nic_.completion_deadline(handles[i]));
+  }
+  if (deadline <= now_cache_) {
+    make_runnable(&f, rdma::OpStatus::ok);
+    return;
+  }
+  heap_push(HandleWait{deadline, &f, rdma::kDoneHandle, /*epoch=*/false,
+                       /*sleep=*/true});
 }
 
 void Scheduler::await_epoch(Fiber& f) {
@@ -413,6 +438,23 @@ bool Scheduler::poll_once() {
   return progressed;
 }
 
+bool Scheduler::ring() {
+  if (doorbell_waits_.empty() && nic_.batch_depth() == 0) return false;
+  nic_.batch_flush();
+  // Nothing is batch-pending now, so the same awaits park each waiter on
+  // its deadline (or make it runnable).
+  doorbell_scratch_.swap(doorbell_waits_);
+  for (const DoorbellWait& w : doorbell_scratch_) {
+    if (w.round != nullptr) {
+      await_round(*w.fiber, w.round, w.n);
+    } else {
+      await_handle(*w.fiber, w.handle);
+    }
+  }
+  doorbell_scratch_.clear();
+  return true;
+}
+
 void Scheduler::run() {
   Backoff backoff;
   while (live_ > 0) {
@@ -426,12 +468,23 @@ void Scheduler::run() {
       if ((switches_ & 63u) == 0) yield_check_();
       count(Op::fiber_switch);
       trace::emit(trace::EvClass::fiber, trace::EvPhase::begin, -1, f->id_);
+      // A fiber with company in the pass queues its ops behind the pass's
+      // one doorbell (a blocking wait inside a fiber rings it early and
+      // closes the scope; this reopens it). A fiber alone has nobody to
+      // share with: its ops ring their own, so each op's latency overlaps
+      // its injection overhead, as for a blocking caller.
+      if (!runnable_.empty() && !nic_.batch_active()) nic_.batch_begin();
       f->step(*this);
       if (f->done()) {
         --live_;
         trace::emit(trace::EvClass::fiber, trace::EvPhase::complete, -1,
                     f->id_);
       }
+      backoff.reset();
+      continue;
+    }
+    // The pass is over: ring its doorbell once for every fiber's ops.
+    if (ring()) {
       backoff.reset();
       continue;
     }
@@ -445,6 +498,7 @@ void Scheduler::run() {
       backoff.pause();
     }
   }
+  nic_.batch_flush();
 }
 
 }  // namespace fompi::fabric::progress

@@ -19,13 +19,18 @@
 //     every fiber runs on its rank's own thread, so the engine is
 //     TSan-clean and a context switch costs nanoseconds, not a sigmask
 //     save). `await(handle)` parks the fiber on the op's modeled
-//     completion deadline, `await_notify(tag)` on the notify plane,
+//     completion deadline, `await_round(handles)` once on the latest of a
+//     round's deadlines, `await_notify(tag)` on the notify plane,
 //     `await_epoch()` on the NIC's quiesce deadline; the scheduler's
 //     retire path makes them runnable again. A rank with N fibers keeps N
 //     ops in flight while burning issue overhead only — no spin between
-//     issue and completion. The single idle loop goes through the
-//     fabric's yield_check, so fault kills unwind parked fleets with
-//     typed statuses instead of hanging them.
+//     issue and completion. The fibers' ops of one pass over the
+//     runnable queue ride one chained doorbell: run() keeps a batch scope
+//     open on the NIC while fibers share the pass, an await on an op
+//     behind the unrung doorbell parks without flushing, and the
+//     scheduler rings once when the queue drains. The single idle loop goes through the fabric's yield_check,
+//     so fault kills unwind parked fleets with typed statuses instead of
+//     hanging them.
 //
 // Continuation frames: a fiber's `step()` is re-entered at the last
 // suspension point via a Duff's-device switch on `pc_`. All state that
@@ -179,7 +184,9 @@ class Fiber {
 /// every fiber finished. Completion is pull-based (the simulated NIC has
 /// no background thread), so parked handle-waiters sit on a min-heap
 /// keyed by the op's modeled completion deadline and the idle loop
-/// retires the due ones — O(log n) per wakeup, no per-op spin.
+/// retires the due ones — O(log n) per wakeup, no per-op spin. A pass
+/// ends when the runnable queue drains: its ops share one doorbell, rung
+/// then, which is also when their waiters get their deadlines.
 class Scheduler {
  public:
   /// Fabric-integrated: suspension points run ctx-equivalent yield_check,
@@ -203,7 +210,9 @@ class Scheduler {
 
   /// Runs until every adopted fiber is done. The only blocking point is
   /// the internal idle loop (yield_check + deadline/notify/ready polling
-  /// with reset-on-progress backoff).
+  /// with reset-on-progress backoff). Opens a batch scope on the NIC for
+  /// the ops of fibers that share a pass, and rings it on exit, so no op
+  /// outlives run() behind an unrung doorbell.
   void run();
 
   std::size_t switches() const noexcept { return switches_; }
@@ -213,6 +222,11 @@ class Scheduler {
 
   // --- suspension hooks (called by the FOMPI_FIBER_* macros) ---------------
   void await_handle(Fiber& f, rdma::Handle h);
+  /// Parks the fiber once, until the latest completion of `handles[0, n)`,
+  /// and wakes it with ok without retiring them: the fiber retires the
+  /// round itself, in issue order (under deferred delivery that is the
+  /// order the ops' effects land). `handles` must stay valid until then.
+  void await_round(Fiber& f, const rdma::Handle* handles, std::size_t n);
   void await_epoch(Fiber& f);
   void await_notify(Fiber& f, NotifyPlane& plane, std::uint64_t tag,
                     int source);
@@ -230,7 +244,16 @@ class Scheduler {
     Fiber* fiber;
     rdma::Handle handle;  // kDoneHandle marks an epoch (gsync) wait
     bool epoch;
-    bool sleep = false;  // pure timed backoff: wake with ok at deadline
+    bool sleep = false;  // wake with ok at deadline: a backoff, or a round
+                         // the fiber retires itself
+  };
+  /// A fiber parked on ops still behind the pass's unrung doorbell: it
+  /// gets its deadline when ring() rings it.
+  struct DoorbellWait {
+    Fiber* fiber;
+    rdma::Handle handle;         // await_handle
+    const rdma::Handle* round;   // await_round (null for await_handle)
+    std::size_t n;
   };
   struct NotifyWait {
     Fiber* fiber;
@@ -241,6 +264,10 @@ class Scheduler {
 
   void make_runnable(Fiber* f, rdma::OpStatus st);
   bool poll_once();
+  /// Ends a pass: rings the shared doorbell once and re-parks every
+  /// doorbell waiter on its now-known deadline. False when nothing was
+  /// behind the doorbell.
+  bool ring();
   void heap_push(HandleWait w);
   HandleWait heap_pop();
 
@@ -249,6 +276,8 @@ class Scheduler {
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::deque<Fiber*> runnable_;
   std::vector<HandleWait> heap_;  // min-heap by deadline
+  std::vector<DoorbellWait> doorbell_waits_;
+  std::vector<DoorbellWait> doorbell_scratch_;  // ring()'s working set
   std::vector<NotifyWait> notify_waits_;
   std::vector<Fiber*> ready_waits_;
   std::size_t live_ = 0;
@@ -288,6 +317,10 @@ class Scheduler {
 /// the typed result.
 #define FOMPI_FIBER_AWAIT(s, h) \
   FOMPI_FIBER_SUSPEND_((s).await_handle(*this, (h)))
+/// Parks once until every op of a round (`handles[0, n)`) completed. The
+/// fiber then retires the handles itself, in issue order.
+#define FOMPI_FIBER_AWAIT_ROUND(s, handles, n) \
+  FOMPI_FIBER_SUSPEND_((s).await_round(*this, (handles), (n)))
 /// Parks until every op this rank issued so far completed (gsync).
 #define FOMPI_FIBER_AWAIT_EPOCH(s) \
   FOMPI_FIBER_SUSPEND_((s).await_epoch(*this))

@@ -336,11 +336,11 @@ rdma::OpStatus KvStore::maybe_revoke(int t, std::size_t ver_off,
 //
 // A KV op is a few rounds: each round's ops overlap on the wire, and the
 // next round is issued only once all of them retired. Every op is a state
-// machine over its rounds — step() consumes the settled round and issues
+// machine over its rounds — step() consumes the retired round and issues
 // the next — so get()/put() run it on the calling thread and a fleet fiber
-// parks on the very same handles. Either way a round's ops retire in issue
-// order, which is also the order their effects land under deferred
-// delivery; the write protocol below relies on it.
+// parks once on the very same round. Either way retire() retires a round's
+// ops in issue order, which is also the order their effects land under
+// deferred delivery; the write protocol below relies on it.
 
 core::RmaRequest KvStore::rget_cell(int t, std::size_t cell_off,
                                     CellWords* c, bool with_next) {
@@ -352,19 +352,23 @@ core::RmaRequest KvStore::rget_cell(int t, std::size_t cell_off,
 struct KvStore::RoundOp {
   explicit RoundOp(KvStore& kv) : kv(kv) {}
 
-  /// Consumes the settle()d round and issues the next; true once the op
-  /// retired (`status` and the outputs are then final). No pending() ops
-  /// with `backoff` set means: pause, then step() again.
+  /// Consumes the retire()d round and issues the next; true once the op
+  /// retired (`status` and the outputs are then final). With `backoff`
+  /// set the round is empty: pause, then step() again.
   virtual bool step() = 0;
 
-  /// Ops of the round in flight. Await each awaitable() one and settle()
-  /// its status; an op that retired at issue already holds its status.
-  std::size_t pending() const noexcept { return n; }
-  bool awaitable(std::size_t i) const noexcept {
-    return !reqs[i].handles().empty();
+  /// Handles of the round in flight, in issue order: what a fleet fiber
+  /// parks on (FOMPI_FIBER_AWAIT_ROUND) before it calls retire().
+  const rdma::Handle* handles() const noexcept { return hs; }
+  std::size_t handle_count() const noexcept { return nh; }
+  /// Retires the round's ops in issue order and records their statuses,
+  /// blocking on any still in flight. An op that retired at issue already
+  /// holds its status.
+  void retire() {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!reqs[i].handles().empty()) sts[i] = kv.wait_req(reqs[i]);
+    }
   }
-  core::RmaRequest& request(std::size_t i) noexcept { return reqs[i]; }
-  void settle(std::size_t i, rdma::OpStatus st) noexcept { sts[i] = st; }
   /// The round in flight may hold a cell lock other ops wait on.
   virtual bool critical() const { return false; }
 
@@ -380,7 +384,10 @@ struct KvStore::RoundOp {
 
   /// Adds `req` to the round being issued (its first op opens the round).
   std::size_t issue(core::RmaRequest req) {
-    if (n == 0) count(Op::kv_round);
+    if (n == 0) {
+      count(Op::kv_round);
+      nh = 0;
+    }
     sts[n] = rdma::OpStatus::ok;
     if (req.handles().empty()) {
       // Retired at issue: under errors_return a dead-peer status went to
@@ -389,6 +396,9 @@ struct KvStore::RoundOp {
       sts[n] = kv.win_.last_error();
       kv.win_.clear_last_error();
       req.dismiss();
+    } else {
+      // Each KV request is one NIC op; retire() still waits on all of them.
+      hs[nh++] = req.handles().front();
     }
     reqs[n] = std::move(req);
     return n++;
@@ -410,7 +420,8 @@ struct KvStore::RoundOp {
   KvStore& kv;
   core::RmaRequest reqs[kMaxOps];
   rdma::OpStatus sts[kMaxOps] = {};
-  std::size_t n = 0;
+  rdma::Handle hs[kMaxOps] = {};
+  std::size_t n = 0, nh = 0;
 };
 
 rdma::OpStatus KvStore::run(RoundOp& op) {
@@ -421,9 +432,7 @@ rdma::OpStatus KvStore::run(RoundOp& op) {
       fabric_->yield_check();
       continue;
     }
-    for (std::size_t i = 0; i < op.pending(); ++i) {
-      if (op.awaitable(i)) op.settle(i, wait_req(op.request(i)));
-    }
+    op.retire();
   }
   return op.status;
 }
@@ -1028,7 +1037,7 @@ struct KvStore::PutOp final : RoundOp {
   /// that died holding the lock leaves it odd for good; revocation failing
   /// typed means the cell's own host is dead.
   void busy(Side& s, std::uint64_t locked) {
-    count(Op::retry);
+    count(Op::kv_write_retry);
     if (++s.stuck > kRevokeSpins) {
       if (kv.maybe_revoke(s.t, s.cell + kVerOff, locked) ==
           rdma::OpStatus::peer_dead) {
@@ -1199,9 +1208,10 @@ rdma::OpStatus KvStore::debug_write_copy(std::uint64_t key, bool replica,
 // --- closed-loop client fleet -------------------------------------------------
 //
 // Each fiber pulls ops off a shared per-rank cursor and runs the GetOp or
-// PutOp above, parking on each round's handles, so one rank keeps `fibers`
-// ops in flight through cache checks, snapshots, chain walks, lock waits
-// and failover alike.
+// PutOp above, parking once per round, so one rank keeps `fibers` ops in
+// flight through cache checks, snapshots, chain walks, lock waits and
+// failover alike. The rounds that fibers issue in one scheduler pass share
+// one doorbell.
 
 struct KvStore::ClientFiber final : fabric::progress::Fiber {
   struct FleetOp {
@@ -1258,12 +1268,8 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
           FOMPI_FIBER_BACKOFF(s, kFiberBackoffNs);
           continue;
         }
-        for (hi = 0; hi < op->pending(); ++hi) {
-          if (!op->awaitable(hi)) continue;
-          FOMPI_FIBER_AWAIT(s, op->request(hi).handles()[0]);
-          op->request(hi).dismiss();
-          op->settle(hi, wake_status());
-        }
+        FOMPI_FIBER_AWAIT_ROUND(s, op->handles(), op->handle_count());
+        op->retire();
       }
       if (ops[at].is_read && read.hit) ++res->cache_hits;
       record(ops[at].is_read, t0, op->status);
@@ -1278,7 +1284,7 @@ struct KvStore::ClientFiber final : fabric::progress::Fiber {
   GetOp read;
   PutOp write;
   RoundOp* op = nullptr;
-  std::size_t at = 0, hi = 0;
+  std::size_t at = 0;
   std::uint64_t t0 = 0;
   int target = 0;
 };

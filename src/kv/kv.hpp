@@ -85,7 +85,8 @@ struct KvConfig {
 
 /// Per-client (per-rank) operation statistics; the cache and failover
 /// counts are mirrored into the global Op counters (kv_cache_hit /
-/// kv_cache_miss / kv_failover). Seqlock rereads are Op::kv_read_retry only.
+/// kv_cache_miss / kv_failover). Seqlock rereads are Op::kv_read_retry only,
+/// and puts that found their cell locked Op::kv_write_retry only.
 struct KvStats {
   std::uint64_t cache_hits = 0, cache_misses = 0;
   std::uint64_t failovers = 0;      ///< shard reroutes to the replica

@@ -64,27 +64,14 @@ struct KvStore::DrainFiber final : fabric::progress::Fiber {
       // Frozen-image read: succeeds even when src's host rank is dead.
       req = kv.win_.rget(buf.data(), n, plan->src.rank,
                          kv.copy_base(plan->src) + off);
-      for (hi = 0; hi < req.handles().size(); ++hi) {
-        FOMPI_FIBER_AWAIT(s, req.handles()[hi]);
-        if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      }
-      req.dismiss();
-      if (plan->status != rdma::OpStatus::ok) return finish();
+      FOMPI_FIBER_AWAIT_ROUND(s, req.handles().data(), req.handles().size());
+      if (!retire()) return finish();
       // The spare target is alive (or was when planned): a mutating put,
       // so a mid-drain death surfaces here as a typed failure.
       req = kv.win_.rput(buf.data(), n, plan->dst.rank,
                          kv.copy_base(plan->dst) + off);
-      if (req.handles().empty()) {
-        const auto le = kv.win_.last_error();
-        kv.win_.clear_last_error();
-        fail(le != rdma::OpStatus::ok ? le : rdma::OpStatus::peer_dead);
-      }
-      for (hi = 0; hi < req.handles().size(); ++hi) {
-        FOMPI_FIBER_AWAIT(s, req.handles()[hi]);
-        if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      }
-      req.dismiss();
-      if (plan->status != rdma::OpStatus::ok) return finish();
+      FOMPI_FIBER_AWAIT_ROUND(s, req.handles().data(), req.handles().size());
+      if (!retire()) return finish();
       *drained += n;
       count(Op::kv_drain_chunk);
       trace::emit(trace::EvClass::recovery, trace::EvPhase::doorbell,
@@ -94,15 +81,21 @@ struct KvStore::DrainFiber final : fabric::progress::Fiber {
     FOMPI_FIBER_END();
   }
 
-  void fail(rdma::OpStatus st) {
-    if (plan->status == rdma::OpStatus::ok) plan->status = st;
+  /// Retires `req` (an op that retired at issue reports through the
+  /// window's sticky error); false once the plan failed.
+  bool retire() {
+    const auto st = kv.wait_req(req);
+    if (st != rdma::OpStatus::ok && plan->status == rdma::OpStatus::ok) {
+      plan->status = st;
+    }
+    return plan->status == rdma::OpStatus::ok;
   }
 
   KvStore& kv;
   DrainPlan* plan;
   std::uint64_t* drained;
   std::vector<std::uint8_t> buf;
-  std::size_t total = 0, off = 0, n = 0, hi = 0;
+  std::size_t total = 0, off = 0, n = 0;
   core::RmaRequest req;
 };
 
@@ -138,37 +131,22 @@ struct KvStore::ScrubFiber final : fabric::progress::Fiber {
                                  prim.rank, poff + kVerOff);
       qb = kv.win_.rfetch_and_op(nullptr, &rv1, Elem::u64, RedOp::no_op,
                                  repl.rank, roff + kVerOff);
-      FOMPI_FIBER_AWAIT(s, qa.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      FOMPI_FIBER_AWAIT(s, qb.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      qa.dismiss();
-      qb.dismiss();
-      if (res->status != rdma::OpStatus::ok) return finish();
+      FOMPI_FIBER_AWAIT_ROUND(s, hs, pair_handles());
+      if (!retire_pair()) return finish();
       if ((pv1 & 1) != 0 || (rv1 & 1) != 0) {
         ++res->skipped;  // write in progress: the writer will converge it
         continue;
       }
       qa = kv.rget_cell(prim.rank, poff, &pc, /*with_next=*/false);
       qb = kv.rget_cell(repl.rank, roff, &rc, /*with_next=*/false);
-      FOMPI_FIBER_AWAIT(s, qa.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      FOMPI_FIBER_AWAIT(s, qb.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      qa.dismiss();
-      qb.dismiss();
-      if (res->status != rdma::OpStatus::ok) return finish();
+      FOMPI_FIBER_AWAIT_ROUND(s, hs, pair_handles());
+      if (!retire_pair()) return finish();
       qa = kv.win_.rfetch_and_op(nullptr, &pv2, Elem::u64, RedOp::no_op,
                                  prim.rank, poff + kVerOff);
       qb = kv.win_.rfetch_and_op(nullptr, &rv2, Elem::u64, RedOp::no_op,
                                  repl.rank, roff + kVerOff);
-      FOMPI_FIBER_AWAIT(s, qa.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      FOMPI_FIBER_AWAIT(s, qb.handles()[0]);
-      if (wake_status() != rdma::OpStatus::ok) fail(wake_status());
-      qa.dismiss();
-      qb.dismiss();
-      if (res->status != rdma::OpStatus::ok) return finish();
+      FOMPI_FIBER_AWAIT_ROUND(s, hs, pair_handles());
+      if (!retire_pair()) return finish();
       if (!snapshot_ok(pv1, pc, pv2) || !snapshot_ok(rv1, rc, rv2)) {
         ++res->skipped;  // torn snapshot: racing writer owns the cell
         continue;
@@ -211,6 +189,24 @@ struct KvStore::ScrubFiber final : fabric::progress::Fiber {
     if (res->status == rdma::OpStatus::ok) res->status = st;
   }
 
+  /// The qa/qb pair's handles, in issue order, into `hs`. Each request is
+  /// one NIC op; retire_pair() still waits on all of them.
+  std::size_t pair_handles() {
+    std::size_t k = 0;
+    for (const core::RmaRequest* q : {&qa, &qb}) {
+      if (!q->handles().empty()) hs[k++] = q->handles().front();
+    }
+    return k;
+  }
+  /// Retires qa then qb; false once the scrub failed.
+  bool retire_pair() {
+    for (core::RmaRequest* q : {&qa, &qb}) {
+      const auto st = kv.wait_req(*q);
+      if (st != rdma::OpStatus::ok) fail(st);
+    }
+    return res->status == rdma::OpStatus::ok;
+  }
+
   KvStore& kv;
   Copy prim, repl;
   BucketLayout pl, rl;
@@ -221,6 +217,7 @@ struct KvStore::ScrubFiber final : fabric::progress::Fiber {
   std::uint64_t pv1 = 0, pv2 = 0, rv1 = 0, rv2 = 0;
   CellWords pc, rc;
   core::RmaRequest qa, qb;
+  rdma::Handle hs[2] = {};
 };
 
 // --- cell repair -------------------------------------------------------------

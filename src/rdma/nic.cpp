@@ -1137,6 +1137,12 @@ std::uint64_t Nic::completion_deadline(Handle h) {
   return s->op.complete_at;
 }
 
+bool Nic::batch_pending(Handle h) {
+  if (h == kDoneHandle) return false;
+  const Slot* s = lookup(h);
+  return s != nullptr && s->op.batch_pending;
+}
+
 void Nic::gsync() {
   const OpStatus st = gsync_status();
   if (st != OpStatus::ok) raise_status(st, "gsync");

@@ -158,6 +158,10 @@ class Nic {
   /// handle can retire right now — already complete, failed at issue,
   /// stale, or running under Injection::none.
   std::uint64_t completion_deadline(Handle h);
+  /// True while explicit handle `h` sits behind an unrung doorbell: it has
+  /// no completion time yet, and the next batch_flush assigns one. Unlike
+  /// completion_deadline, asking does not ring the doorbell.
+  bool batch_pending(Handle h);
   /// Modeled completion time of everything issued so far (what gsync's
   /// bulk wait targets); 0 under Injection::none. An epoch waiter parks on
   /// this and re-arms if more traffic extended it.

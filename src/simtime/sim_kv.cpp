@@ -43,6 +43,14 @@ double kv_put_us(const KvParams& p, bool degraded) {
          1e3;
 }
 
+double kv_fleet_issue_ns(const KvParams& p, int descriptors,
+                         bool coalesced) {
+  const double o = p.net.inter_overhead_ns;
+  if (!coalesced || descriptors <= 1) return o;
+  const auto d = static_cast<std::size_t>(descriptors);
+  return (o + p.net.chain_latency_ns(d)) / static_cast<double>(d);
+}
+
 double kv_hot_shard_mass(const KvParams& p) {
   // Rank-1 mass of a Zipf(s) over the shards: 1 / H(shards, s). s = 0
   // degenerates to the uniform 1/shards.

@@ -61,6 +61,13 @@ double kv_read_p99_us(const KvParams& p, bool degraded = false);
 /// round trip; degraded mode writes the surviving replica only.
 double kv_put_us(const KvParams& p, bool degraded = false);
 
+/// Origin issue cost (ns) per op of a fleet rank that hands its ops to
+/// the NIC `descriptors` at a time. Coalesced, the fibers' rounds of one
+/// scheduler pass share a doorbell: the injection overhead once plus
+/// chain_ns per extra descriptor, (o + chain_ns * (d - 1)) / d per op.
+/// Uncoalesced, every op rings its own: o per op, whatever d is.
+double kv_fleet_issue_ns(const KvParams& p, int descriptors, bool coalesced);
+
 /// Probability mass of the hottest shard under the Zipf(s) key popularity
 /// folded onto `shards` (rank-1 mass of a Zipf over the shards).
 double kv_hot_shard_mass(const KvParams& p);

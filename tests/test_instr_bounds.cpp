@@ -454,3 +454,45 @@ TEST(InstrBounds, KvPutChainKeyIsWalkRoundsPlusThree) {
         EXPECT_EQ(c.puts, 2u) << "one fully formed cell per copy";
       });
 }
+
+TEST(InstrBounds, KvFleetSharesDoorbellsAcrossFibers) {
+  // A fleet of warm hits on one issuing rank: each get is one 1-AMO round.
+  // The fibers' rounds of one scheduler pass ride one chained doorbell, so
+  // every transport op is batched and a doorbell covers a pass's rounds
+  // (all fibers but the stragglers of the last pass).
+  constexpr int kFibers = 8;
+  constexpr std::uint64_t kKeys = 16;
+  kv::KvConfig cfg;
+  cfg.shards = 1;  // shard 0 lives on rank 0
+  fabric::FabricOptions opts;
+  opts.domain.ranks_per_node = 1;
+  opts.domain.inject = rdma::Injection::model;  // fibers park on the wire
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
+    kv::KvStore store(ctx, cfg);
+    if (ctx.rank() == 1) {
+      for (std::uint64_t k = 1; k <= kKeys; ++k) {
+        ASSERT_EQ(store.put(k, k * 31 + 7), rdma::OpStatus::ok);
+        get_cost(store, k, true, k * 31 + 7);  // fills the cache
+      }
+      kv::KvStore::FleetConfig fc;
+      fc.ops_per_rank = 400;
+      fc.fibers = kFibers;
+      fc.read_ratio = 1.0;
+      fc.keyspace = kKeys;
+      kv::KvStore::FleetResult res;
+      const auto d = delta_of([&] { res = store.run_fleet(ctx, fc); });
+      ASSERT_EQ(res.ok_ops, static_cast<std::uint64_t>(fc.ops_per_rank));
+      ASSERT_EQ(res.cache_hits, res.reads) << "not a warm-hit fleet";
+      const auto c = cost_of(d);
+      EXPECT_EQ(c.amos, res.reads) << "a warm hit is one AMO";
+      EXPECT_EQ(c.rounds, res.reads);
+      EXPECT_EQ(d.get(Op::batched_op), c.amos + c.gets)
+          << "every transport op rides a shared doorbell";
+      EXPECT_LE(d.get(Op::doorbell_ring) * kFibers, c.rounds + kFibers)
+          << d.get(Op::doorbell_ring) << " doorbells for " << c.rounds
+          << " rounds";
+    }
+    ctx.barrier();
+    store.destroy(ctx);
+  }, opts);
+}

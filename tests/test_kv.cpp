@@ -843,7 +843,7 @@ TEST(KvFleet, HotKeyFibersTakeTurnsWithoutDeadlock) {
                                 res.data_loss + res.failed_other);
       EXPECT_EQ(res.ok_ops, res.issued);
       EXPECT_GT(res.writes, 200u);
-      EXPECT_GT(op_counters().since(before).get(Op::retry), 0u)
+      EXPECT_GT(op_counters().since(before).get(Op::kv_write_retry), 0u)
           << "no fiber ever found the cell locked: the test lost its point";
       std::uint64_t v = 0;
       bool found = false;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <string>
@@ -87,6 +88,67 @@ class AmoPipeline final : public progress::Fiber {
   int ops_, i_ = 0;
   Handle h_ = kDoneHandle;
   alignas(8) std::uint64_t fetched_ = 0;
+};
+
+/// Issues one fetch-add AMO to rank 1, parks on it, and notes what it saw
+/// at issue and at wakeup.
+class OneAmoFiber final : public progress::Fiber {
+ public:
+  OneAmoFiber(Nic& nic, const RegionDesc& d) : nic_(nic), d_(d) {}
+  bool pending_at_await = false;
+  std::uint64_t issued_ns = 0, woke_ns = 0, doorbells_at_wake = 0;
+  OpStatus status = OpStatus::pending;
+  alignas(8) std::uint64_t fetched = 0;
+
+ protected:
+  void step(progress::Scheduler& s) override {
+    FOMPI_FIBER_BEGIN();
+    issued_ns = now_ns();
+    h_ = nic_.amo_nb(1, d_, 0, AmoOp::fetch_add, 1, 0, &fetched);
+    pending_at_await = nic_.batch_pending(h_);
+    FOMPI_FIBER_AWAIT(s, h_);
+    woke_ns = now_ns();
+    doorbells_at_wake = nic_.doorbells_rung();
+    status = wake_status();
+    FOMPI_FIBER_END();
+  }
+
+ private:
+  Nic& nic_;
+  const RegionDesc& d_;
+  Handle h_ = kDoneHandle;
+};
+
+/// Writes word 0 of rank 1 twice in one round — a wide put of 1s, then an
+/// 8-byte put of 2 that completes first — parks once on the round, and
+/// retires it itself.
+class RoundWriteFiber final : public progress::Fiber {
+ public:
+  RoundWriteFiber(Nic& nic, const RegionDesc& d, const std::uint64_t* word)
+      : nic_(nic), d_(d), word_(word) {}
+  std::uint64_t word_at_wake = ~std::uint64_t{0};
+  OpStatus sts[2] = {OpStatus::pending, OpStatus::pending};
+
+ protected:
+  void step(progress::Scheduler& s) override {
+    FOMPI_FIBER_BEGIN();
+    wide_.fill(1);
+    hs_[0] = nic_.put_nb(1, d_, 0, wide_.data(), sizeof wide_);
+    hs_[1] = nic_.put_nb(1, d_, 0, &narrow_, sizeof narrow_);
+    FOMPI_FIBER_AWAIT_ROUND(s, hs_, 2);
+    word_at_wake = *word_;
+    for (i_ = 0; i_ < 2; ++i_) sts[i_] = nic_.wait_status(hs_[i_]);
+    FOMPI_FIBER_END();
+  }
+
+ private:
+  Nic& nic_;
+  const RegionDesc& d_;
+  const std::uint64_t* word_;
+  std::array<std::uint64_t, 256> wide_{};  // 2 KiB: FMA-sized, slower
+  alignas(8) std::uint64_t narrow_ = 2;
+  Handle hs_[2] = {kDoneHandle, kDoneHandle};
+  int i_ = 0;
 };
 
 /// Issues `ops` implicit puts, then parks on the epoch (gsync) deadline.
@@ -228,6 +290,81 @@ TEST(Scheduler, ModeledOverlapBeatsSerialIssue) {
   const double overlapped = wall_us(8);
   EXPECT_LT(overlapped, 0.6 * serial)
       << "serial " << serial << " us, 8-fiber " << overlapped << " us";
+}
+
+TEST(Scheduler, PassRingsOneDoorbell) {
+  // Every fiber's AMO of the pass queues behind one chained doorbell, rung
+  // once the runnable queue drains: each fiber wakes only after that
+  // doorbell's whole chain and its AMO's latency.
+  constexpr int kFibers = 8;
+  const DomainConfig cfg = raw_domain(Injection::model);
+  Domain dom(cfg);
+  Nic& nic = dom.nic(0);
+  AlignedBuffer mem(1 << 12);
+  const RegionDesc d = dom.registry().register_region(1, mem.data(), 1 << 12);
+  const OpCounters before = op_counters();
+  progress::Scheduler sched(nic, [] {});
+  std::vector<OneAmoFiber*> fibers;
+  for (int i = 0; i < kFibers; ++i) {
+    fibers.push_back(&sched.spawn<OneAmoFiber>(nic, d));
+  }
+  sched.run();
+  const OpCounters delta = op_counters().since(before);
+  EXPECT_EQ(delta.get(Op::doorbell_ring), 1u);
+  EXPECT_EQ(delta.get(Op::batched_op), static_cast<std::uint64_t>(kFibers));
+
+  const NetworkModel& m = cfg.model;
+  const auto ring_ns = static_cast<std::uint64_t>(
+      m.inter_overhead_ns + m.chain_latency_ns(kFibers));
+  const auto amo_ns = static_cast<std::uint64_t>(m.amo_latency_ns());
+  std::uint64_t last_issue = 0;
+  for (const OneAmoFiber* f : fibers) {
+    last_issue = std::max(last_issue, f->issued_ns);
+  }
+  std::vector<std::uint64_t> fetched;
+  for (const OneAmoFiber* f : fibers) {
+    EXPECT_TRUE(f->pending_at_await) << "the await flushed the doorbell";
+    EXPECT_EQ(f->status, OpStatus::ok);
+    EXPECT_EQ(f->doorbells_at_wake, 1u);
+    EXPECT_GE(f->woke_ns, last_issue + ring_ns + amo_ns);
+    fetched.push_back(f->fetched);
+  }
+  std::sort(fetched.begin(), fetched.end());
+  for (int i = 0; i < kFibers; ++i) {
+    EXPECT_EQ(fetched[static_cast<std::size_t>(i)],
+              static_cast<std::uint64_t>(i));
+  }
+
+  // run() rang everything on its way out: a blocking caller's op rings
+  // its own doorbell, not a batch's.
+  EXPECT_FALSE(nic.batch_active());
+  std::uint64_t prev = 0;
+  const Handle h = nic.amo_nb(1, d, 0, AmoOp::fetch_add, 1, 0, &prev);
+  EXPECT_FALSE(nic.batch_pending(h));
+  EXPECT_EQ(nic.wait_status(h), OpStatus::ok);
+  EXPECT_EQ(prev, static_cast<std::uint64_t>(kFibers));
+  EXPECT_EQ(nic.doorbells_rung(), 1u);
+}
+
+TEST(Scheduler, RoundAwaitRetiresInIssueOrder) {
+  // Deferred delivery: a put's data lands when it retires. The round's
+  // later write completes first; the fiber parks once and retires the
+  // round in issue order, so the later value is what stays.
+  DomainConfig cfg = raw_domain(Injection::model);
+  cfg.delivery = Delivery::deferred;
+  Domain dom(cfg);
+  Nic& nic = dom.nic(0);
+  AlignedBuffer mem(1 << 12);
+  const RegionDesc d = dom.registry().register_region(1, mem.data(), 1 << 12);
+  const auto* word = reinterpret_cast<const std::uint64_t*>(mem.data());
+  progress::Scheduler sched(nic, [] {});
+  auto& f = sched.spawn<RoundWriteFiber>(nic, d, word);
+  sched.run();
+  EXPECT_EQ(sched.switches(), 2u) << "one park for the whole round";
+  EXPECT_EQ(f.word_at_wake, 0u) << "the scheduler retired the round";
+  EXPECT_EQ(f.sts[0], OpStatus::ok);
+  EXPECT_EQ(f.sts[1], OpStatus::ok);
+  EXPECT_EQ(*word, 2u) << "the round's ops retired out of issue order";
 }
 
 // --- notify plane ------------------------------------------------------------

@@ -426,6 +426,23 @@ TEST(SimKv, ReplicationRaisesTheSaturationPlateau) {
             simulate_kv_throughput_mops(4096, solo));
 }
 
+TEST(SimKv, SharedDoorbellNeverCostsMoreIssue) {
+  // A shared doorbell charges one injection overhead plus a chain link per
+  // extra descriptor; alone, every op pays the overhead. Equal at one
+  // descriptor, cheaper (and ever cheaper) beyond it, never below a link.
+  const KvParams p;
+  EXPECT_DOUBLE_EQ(kv_fleet_issue_ns(p, 1, true), kv_fleet_issue_ns(p, 1, false));
+  double prev = kv_fleet_issue_ns(p, 1, true);
+  for (int d = 2; d <= 64; ++d) {
+    const double shared = kv_fleet_issue_ns(p, d, true);
+    EXPECT_DOUBLE_EQ(kv_fleet_issue_ns(p, d, false), p.net.inter_overhead_ns);
+    EXPECT_LT(shared, kv_fleet_issue_ns(p, d, false)) << "d " << d;
+    EXPECT_LT(shared, prev) << "d " << d;
+    EXPECT_GT(shared, p.net.chain_ns) << "d " << d;
+    prev = shared;
+  }
+}
+
 TEST(SimKv, HotShardMassMatchesZipfFold) {
   // phi = rank-1 mass of Zipf(s) over the shards: 1/H at s=0 (uniform),
   // growing with skew, and always a legal probability.
