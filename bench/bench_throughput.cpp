@@ -95,7 +95,9 @@ RateResult small_op_rate(const std::string& name, const NicConfig& nic) {
 
 struct StripeResult {
   int channels = 1;
-  double us_per_put = 0;  ///< modeled wall time of one 1 MiB blocking put
+  /// Host wall time of one 1 MiB blocking put: max(host copy, modeled
+  /// latency), so it is host-bound wherever the copy outlasts the model.
+  double us_per_put = 0;
 };
 
 StripeResult stripe_time(int channels) {

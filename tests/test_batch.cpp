@@ -17,6 +17,7 @@
 #include "fabric/fabric.hpp"
 #include "rdma/network_model.hpp"
 #include "rdma/nic.hpp"
+#include "trace/trace.hpp"
 
 using namespace fompi;
 using namespace fompi::rdma;
@@ -329,8 +330,12 @@ TEST(Batch, StripedModelLatencyDecreasesWithChannels) {
 }
 
 TEST(Batch, StripingReducesModeledWallTime) {
+  // Reads the modeled clock (the put event's dur_ns, DESIGN.md §7), not the
+  // host clock: a blocking put's host time is max(host work, modeled
+  // latency), and the 1 MiB copy alone can outlast the 4-channel model.
   const std::size_t big = std::size_t{1} << 20;
-  auto timed_put = [&](int channels) {
+  // Returns the modeled latency the NIC charged the put (its trace dur_ns).
+  auto modeled_put = [&](int channels) {
     NicConfig nc;
     nc.channels = channels;
     Domain dom(internode(2, Injection::model, nc));
@@ -338,33 +343,41 @@ TEST(Batch, StripingReducesModeledWallTime) {
     AlignedBuffer mem(2 * big);
     const RegionDesc d = dom.registry().register_region(1, mem.data(), 2 * big);
     std::vector<std::byte> payload(big);
+    trace::Ring ring(64);
     const OpCounters before = op_counters();
+    trace::bind_thread(&ring);
     Timer t;
     nic.put(1, d, 0, payload.data(), big);  // blocking: spins modeled time
-    const double ns = static_cast<double>(t.elapsed_ns());
+    const std::uint64_t wall_ns = t.elapsed_ns();
+    trace::bind_thread(nullptr);  // publishes the staged events
     const std::uint64_t stripes = op_counters().since(before).get(
         Op::channel_stripe);
     EXPECT_EQ(stripes, channels > 1 ? 1u : 0u);
-    return ns;
+    std::uint64_t dur_ns = 0;
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      if (ring[i].cls == trace::EvClass::put &&
+          ring[i].phase == trace::EvPhase::issue) {
+        dur_ns = ring[i].dur_ns;
+        break;
+      }
+    }
+    const auto modeled = static_cast<std::uint64_t>(
+        NetworkModel{}.put_striped_latency_ns(big, channels) *
+        dom.config().time_scale);
+    if (trace::kEnabled) {
+      EXPECT_EQ(dur_ns, modeled) << channels << " channel(s)";
+    }
+    // A blocking put never returns before its modeled completion.
+    EXPECT_GE(wall_ns, modeled) << channels << " channel(s)";
+    return dur_ns;
   };
-  const double t1 = timed_put(1);
-  const double t4 = timed_put(4);
-  // Modeled: ~153 us at 1 channel vs ~40 us at 4; generous noise margin.
-  // Under TSan the shadow cost of the 1 MiB copy (which does not shrink
-  // with channels) swamps the modeled wait, so only the stripe counters
-  // above are meaningful there — the ratio is asserted unsanitized.
-#if defined(__SANITIZE_THREAD__)
-#define FOMPI_TEST_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define FOMPI_TEST_TSAN 1
-#endif
-#endif
-#ifndef FOMPI_TEST_TSAN
-  EXPECT_LT(t4, 0.6 * t1);
-#else
-  EXPECT_LT(t4, t1 + 1e6);  // sanity only: within 1 ms of the 1-channel run
-#endif
+  const std::uint64_t d1 = modeled_put(1);
+  const std::uint64_t d4 = modeled_put(4);
+  // Modeled: 1100 + 0.145*1048576 = 153143 ns at 1 channel;
+  // 1100 + 3*120 + 0.145*262144 = 39470 ns at 4 (ratio 0.258).
+  if (trace::kEnabled) {
+    EXPECT_LT(static_cast<double>(d4), 0.6 * static_cast<double>(d1));
+  }
 }
 
 // --- adaptive thresholds ---------------------------------------------------------
