@@ -156,6 +156,7 @@ FailoverResult failover_slo() {
   FailoverResult res;
   fabric::run_ranks(kRanks, [&](RankCtx& ctx) {
     KvStore store(ctx);
+    const OpCounters at_start = op_counters();
     // Keys owned by the doomed rank (pure hash function, same on all
     // ranks).
     std::vector<std::uint64_t> keys;
@@ -210,7 +211,8 @@ FailoverResult failover_slo() {
       }
       res.degraded_p50_us = us(degraded.quantile(0.5));
       res.degraded_p99_us = us(degraded.quantile(0.99));
-      res.failovers = store.stats().failovers;
+      res.failovers =
+          op_counters().since(at_start).get(Op::kv_failover);
     }
     // No barrier/destroy: collective with a dead rank.
   }, opts);

@@ -48,6 +48,7 @@
 #      blocking put8 issue path and must ring no coalesced doorbells
 #   8. Scheduler fast-path gate: a constructed-but-idle fiber scheduler
 #      must not tax the blocking put8 issue path (mirror of gate 7)
+#   9. Size report (not a gate): src/tests/bench/perfbench line counts
 #
 # Runs from any directory; everything lands in build/ and build-tsan/.
 set -eu
@@ -202,6 +203,13 @@ until sched_gate; do
   attempt=$((attempt + 1))
   echo "scheduler fast-path gate: rerunning bench_fastpath (attempt $attempt)" >&2
   ./build/bench/bench_fastpath > BENCH_fastpath.json
+done
+
+# Size report, not a gate: lines of C++ per tree, counted the same way on
+# every change so that a net drop reads the same from one to the next.
+for dir in src tests bench perfbench; do
+  printf '%-10s %s\n' "$dir" \
+    "$(find "$dir" -name '*.cpp' -o -name '*.hpp' | xargs wc -l | tail -n 1)"
 done
 
 echo "ci OK"

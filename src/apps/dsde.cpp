@@ -5,7 +5,6 @@
 
 #include "common/backoff.hpp"
 #include "common/rng.hpp"
-#include "fabric/progress/progress.hpp"
 
 namespace fompi::apps {
 
@@ -19,7 +18,6 @@ const char* to_string(DsdeProto p) noexcept {
     case DsdeProto::alltoall_p2p:   return "alltoall_p2p";
     case DsdeProto::reduce_scatter: return "reduce_scatter";
     case DsdeProto::nbx:            return "nbx";
-    case DsdeProto::nbx_fiber:      return "nbx_fiber";
     case DsdeProto::rma:            return "rma";
   }
   return "unknown";
@@ -156,7 +154,9 @@ std::vector<DsdeMsg> exchange_nbx(fabric::RankCtx& ctx,
   while (!done) {
     bool progressed = false;
     fabric::Status st;
-    if (p2p.iprobe(ctx.rank(), fabric::kAnySource, kTagData, &st)) {
+    // Drain every probe-able message per pass, not one: a pass then costs
+    // one send-completion scan however many messages arrived.
+    while (p2p.iprobe(ctx.rank(), fabric::kAnySource, kTagData, &st)) {
       std::uint64_t v = 0;
       p2p.recv(ctx.rank(), st.source, kTagData, &v, 8);
       received.push_back(DsdeMsg{st.source, v});
@@ -185,110 +185,6 @@ std::vector<DsdeMsg> exchange_nbx(fabric::RankCtx& ctx,
       backoff.pause();
     }
   }
-  return received;
-}
-
-// NBX on the progress engine: the protocol above, as two fibers. The sender
-// fiber drives the synchronous sends to completion; the receiver fiber
-// drains probe-able messages, starts the nonblocking barrier once the local
-// sends finished, and parks on poll_ready() in between — the scheduler's
-// idle loop (yield_check + reset-on-progress backoff) replaces the
-// hand-rolled spin of exchange_nbx.
-namespace progress = fabric::progress;
-
-class NbxSenderFiber final : public progress::Fiber {
- public:
-  NbxSenderFiber(fabric::RankCtx& ctx, const std::vector<DsdeMsg>& sends,
-                 bool* all_sent)
-      : ctx_(ctx), sends_(sends), all_sent_(all_sent) {}
-
- protected:
-  void step(progress::Scheduler& s) override {
-    auto& p2p = ctx_.fabric().p2p();
-    FOMPI_FIBER_BEGIN();
-    for (const auto& m : sends_) {
-      reqs_.push_back(p2p.issend(ctx_.rank(), m.peer, kTagData, &m.payload, 8));
-    }
-    for (i_ = 0; i_ < reqs_.size(); ++i_) {
-      while (reqs_[i_].valid() && !p2p.test(reqs_[i_])) {
-        FOMPI_FIBER_AWAIT_READY(s);
-      }
-    }
-    *all_sent_ = true;
-    FOMPI_FIBER_END();
-  }
-
- private:
-  fabric::RankCtx& ctx_;
-  const std::vector<DsdeMsg>& sends_;
-  bool* all_sent_;
-  std::vector<fabric::P2PRequest> reqs_;
-  std::size_t i_ = 0;
-};
-
-class NbxReceiverFiber final : public progress::Fiber {
- public:
-  NbxReceiverFiber(fabric::RankCtx& ctx, const bool* all_sent,
-                   std::vector<DsdeMsg>* out)
-      : ctx_(ctx), all_sent_(all_sent), out_(out) {}
-
- protected:
-  void step(progress::Scheduler& s) override {
-    auto& p2p = ctx_.fabric().p2p();
-    auto& coll = ctx_.fabric().coll();
-    FOMPI_FIBER_BEGIN();
-    while (true) {
-      while (p2p.iprobe(ctx_.rank(), fabric::kAnySource, kTagData, &st_)) {
-        v_ = 0;
-        p2p.recv(ctx_.rank(), st_.source, kTagData, &v_, 8);
-        out_->push_back(DsdeMsg{st_.source, v_});
-      }
-      if (!barrier_started_ && *all_sent_) {
-        coll.ibarrier_begin(ctx_.rank());
-        barrier_started_ = true;
-      }
-      if (barrier_done_) break;
-      FOMPI_FIBER_AWAIT_READY(s);
-    }
-    FOMPI_FIBER_END();
-  }
-
-  bool poll_ready() override {
-    // ibarrier_test raises once the barrier already completed, so the
-    // result is latched here and step() consumes the flag.
-    if (barrier_started_ && !barrier_done_ &&
-        ctx_.fabric().coll().ibarrier_test(ctx_.rank())) {
-      barrier_done_ = true;
-    }
-    if (barrier_done_) return true;
-    fabric::Status st;
-    if (ctx_.fabric().p2p().iprobe(ctx_.rank(), fabric::kAnySource, kTagData,
-                                   &st)) {
-      return true;
-    }
-    // Until our sends finished we must keep running to observe all_sent
-    // flipping (the sender fiber cannot wake us).
-    return !barrier_started_;
-  }
-
- private:
-  fabric::RankCtx& ctx_;
-  const bool* all_sent_;
-  std::vector<DsdeMsg>* out_;
-  fabric::Status st_{};
-  std::uint64_t v_ = 0;
-  bool barrier_started_ = false;
-  bool barrier_done_ = false;
-};
-
-std::vector<DsdeMsg> exchange_nbx_fiber(fabric::RankCtx& ctx,
-                                        const std::vector<DsdeMsg>& sends) {
-  std::vector<DsdeMsg> received;
-  bool all_sent = false;
-  progress::Scheduler sched(ctx.fabric(), ctx.rank());
-  sched.spawn<NbxSenderFiber>(ctx, sends, &all_sent);
-  sched.spawn<NbxReceiverFiber>(ctx, &all_sent, &received);
-  sched.run();
   return received;
 }
 
@@ -353,7 +249,6 @@ std::vector<DsdeMsg> dsde_exchange(fabric::RankCtx& ctx, DsdeProto proto,
     case DsdeProto::alltoall_p2p:   return exchange_alltoall_p2p(ctx, sends);
     case DsdeProto::reduce_scatter: return exchange_reduce_scatter(ctx, sends);
     case DsdeProto::nbx:            return exchange_nbx(ctx, sends);
-    case DsdeProto::nbx_fiber:      return exchange_nbx_fiber(ctx, sends);
     case DsdeProto::rma: {
       DsdeRmaExchanger ex(ctx,
                           static_cast<std::size_t>(ctx.nranks()) * 8 + 64);

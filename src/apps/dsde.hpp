@@ -12,13 +12,6 @@
 //                      wildcard-receives that many messages;
 //   * nbx            — speculative synchronous sends + nonblocking barrier
 //                      (proved optimal in [15]; the "LibNBC" curve);
-//   * nbx_fiber      — the same NBX protocol restructured as a fiber
-//                      pipeline on the progress engine: a sender fiber
-//                      drives the synchronous sends, a receiver fiber
-//                      parks on probe/ibarrier readiness, and the
-//                      scheduler's single idle loop replaces the
-//                      hand-rolled spin (the old nbx is kept as the
-//                      old-vs-new baseline);
 //   * rma            — remote accumulates into per-source slots inside a
 //                      fence epoch (the foMPI protocol of Fig 7b).
 #pragma once
@@ -36,7 +29,6 @@ enum class DsdeProto {
   alltoall_p2p,
   reduce_scatter,
   nbx,
-  nbx_fiber,
   rma,
 };
 

@@ -21,10 +21,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
-#include "core/notify.hpp"
 #include "core/window.hpp"
 #include "fabric/collectives.hpp"
 
@@ -33,8 +31,6 @@ namespace fompi::apps {
 enum class MilcBackend {
   p2p,           ///< MPI-1 nonblocking sendrecv halos
   rma,           ///< the paper's pack/flush/flag/get scheme
-  rma_notified,  ///< notified access extension: put_notify carries the
-                 ///< halo and its flag in one call (half the critical path)
   rma_notify_queue,  ///< first-class put-with-notification: the halo rides
                      ///< Win::put_notify into the generalized notification
                      ///< ring and the consumer tag-matches one record per
@@ -95,9 +91,8 @@ class MilcSolver {
   std::array<std::size_t, 8> buf_off_{};
   std::uint64_t epoch_ = 0;  // expected flag value, grows per exchange
 
-  // Notified-access backend state: receive buffers per direction, halo
-  // arrives together with its notification.
-  std::optional<core::NotifyWin> nwin_;
+  // Put-with-notification backend state: receive buffers per direction,
+  // halo arrives together with its notification record.
   std::array<std::size_t, 8> recv_off_{};
 
   // Persistent allreduce for the CG dot products: geometry planned once

@@ -46,6 +46,7 @@ const char* to_string(Op op) noexcept {
     case Op::kv_recovery:      return "kv_recovery";
     case Op::kv_round:         return "kv_round";
     case Op::kv_write_retry:   return "kv_write_retry";
+    case Op::kv_data_loss:     return "kv_data_loss";
     case Op::kCount:           break;
   }
   return "unknown";

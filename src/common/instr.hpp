@@ -55,6 +55,7 @@ enum class Op : std::uint32_t {
   kv_recovery,       ///< one completed heal() pass (any outcome)
   kv_round,          ///< one round of a KV get/put: ops overlapped, then awaited
   kv_write_retry,    ///< KV put found its cell locked by another writer
+  kv_data_loss,      ///< KV op retired typed data_loss (every copy dead)
   kCount,
 };
 

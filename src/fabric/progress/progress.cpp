@@ -373,8 +373,6 @@ void Scheduler::await_notify(Fiber& f, NotifyPlane& plane, std::uint64_t tag,
   notify_waits_.push_back(NotifyWait{&f, &plane, tag, source});
 }
 
-void Scheduler::await_ready(Fiber& f) { ready_waits_.push_back(&f); }
-
 void Scheduler::await_backoff(Fiber& f, std::uint64_t delay_ns) {
   // Fresh clock read, not now_cache_: a backoff is a wall-time contract and
   // the cache can be arbitrarily stale on a quiet scheduler.
@@ -421,15 +419,6 @@ bool Scheduler::poll_once() {
     } else if (it->source >= 0 && it->plane->source_dead(it->source)) {
       make_runnable(it->fiber, rdma::OpStatus::peer_dead);
       it = notify_waits_.erase(it);
-      progressed = true;
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = ready_waits_.begin(); it != ready_waits_.end();) {
-    if ((*it)->poll_ready()) {
-      make_runnable(*it, rdma::OpStatus::ok);
-      it = ready_waits_.erase(it);
       progressed = true;
     } else {
       ++it;

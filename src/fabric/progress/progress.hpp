@@ -160,9 +160,6 @@ class Fiber {
  protected:
   /// One quantum: runs until the next FOMPI_FIBER_* suspension or the end.
   virtual void step(Scheduler& s) = 0;
-  /// Polled while parked by FOMPI_FIBER_AWAIT_READY; return true to wake.
-  /// Must be cheap and callable repeatedly from the scheduler idle loop.
-  virtual bool poll_ready() { return true; }
   void finish() noexcept { done_ = true; }
   /// While set, each wakeup puts this fiber at the FRONT of the runnable
   /// queue: for a fiber holding something its siblings wait on (a KV cell
@@ -209,7 +206,7 @@ class Scheduler {
   Fiber& adopt(std::unique_ptr<Fiber> fiber);
 
   /// Runs until every adopted fiber is done. The only blocking point is
-  /// the internal idle loop (yield_check + deadline/notify/ready polling
+  /// the internal idle loop (yield_check + deadline/notify polling
   /// with reset-on-progress backoff). Opens a batch scope on the NIC for
   /// the ops of fibers that share a pass, and rings it on exit, so no op
   /// outlives run() behind an unrung doorbell.
@@ -230,7 +227,6 @@ class Scheduler {
   void await_epoch(Fiber& f);
   void await_notify(Fiber& f, NotifyPlane& plane, std::uint64_t tag,
                     int source);
-  void await_ready(Fiber& f);
   void await_yield(Fiber& f);
   /// Parks the fiber for `delay_ns` wall nanoseconds on the deadline heap —
   /// a fiber-native backoff for retry loops (scrub re-reads, routing
@@ -279,7 +275,6 @@ class Scheduler {
   std::vector<DoorbellWait> doorbell_waits_;
   std::vector<DoorbellWait> doorbell_scratch_;  // ring()'s working set
   std::vector<NotifyWait> notify_waits_;
-  std::vector<Fiber*> ready_waits_;
   std::size_t live_ = 0;
   std::size_t switches_ = 0;
   std::uint32_t next_id_ = 0;
@@ -328,9 +323,6 @@ class Scheduler {
 /// or `source` (>= 0) dies (wake_status() == peer_dead).
 #define FOMPI_FIBER_AWAIT_NOTIFY(s, plane, tag, source) \
   FOMPI_FIBER_SUSPEND_((s).await_notify(*this, (plane), (tag), (source)))
-/// Parks until this->poll_ready() returns true.
-#define FOMPI_FIBER_AWAIT_READY(s) \
-  FOMPI_FIBER_SUSPEND_((s).await_ready(*this))
 /// Parks for `ns` wall nanoseconds (fiber-native backoff; no raw spin).
 #define FOMPI_FIBER_BACKOFF(s, ns) \
   FOMPI_FIBER_SUSPEND_((s).await_backoff(*this, (ns)))

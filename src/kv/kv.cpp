@@ -209,7 +209,6 @@ std::uint64_t KvStore::generation() {
 }
 
 rdma::OpStatus KvStore::handle_gen_mismatch(std::uint64_t gen) {
-  ++stats_.retry_routing;
   count(Op::kv_retry_routing);
   // Odd generation: the coordinator is mid-reconfiguration. Retire the op
   // typed instead of blocking the client under the coordinator's drain;
@@ -310,7 +309,6 @@ void KvStore::fail_over(int shard) {
   for (auto& kr : records_[static_cast<std::size_t>(shard)]) {
     kr.second.cached = false;
   }
-  ++stats_.failovers;
   count(Op::kv_failover);
 }
 
@@ -452,7 +450,7 @@ rdma::OpStatus KvStore::data_loss_on(int /*shard*/) {
   // live ones, so the generation decides first.
   const auto gst = check_generation();
   if (gst != rdma::OpStatus::ok) return gst;
-  ++stats_.data_loss_ops;
+  count(Op::kv_data_loss);
   return rdma::OpStatus::data_loss;
 }
 
@@ -639,11 +637,9 @@ struct KvStore::GetOp final : RoundOp {
       if (rec.cached && ok && v1 == rec.ver[0]) {
         value = rec.value;
         found = hit = true;
-        ++kv.stats_.cache_hits;
         count(Op::kv_cache_hit);
         return finish(rdma::OpStatus::ok);
       }
-      ++kv.stats_.cache_misses;
       count(Op::kv_cache_miss);
     }
     if (!ok) return fail(sts[v1_i]);

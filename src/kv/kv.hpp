@@ -83,17 +83,6 @@ struct KvConfig {
   int spare_factor = 2;
 };
 
-/// Per-client (per-rank) operation statistics; the cache and failover
-/// counts are mirrored into the global Op counters (kv_cache_hit /
-/// kv_cache_miss / kv_failover). Seqlock rereads are Op::kv_read_retry only,
-/// and puts that found their cell locked Op::kv_write_retry only.
-struct KvStats {
-  std::uint64_t cache_hits = 0, cache_misses = 0;
-  std::uint64_t failovers = 0;      ///< shard reroutes to the replica
-  std::uint64_t retry_routing = 0;  ///< ops retired typed retry_routing
-  std::uint64_t data_loss_ops = 0;  ///< ops retired typed data_loss
-};
-
 /// One physical copy of a shard: which rank hosts it, in which region bank
 /// (0 = primary, 1 = replica, 2 = spare — spares hold re-replicated copies
 /// after recovery), at which local slot. Packed into the routing table as
@@ -170,7 +159,6 @@ class KvStore {
   /// the owner serves, peer_dead once it was killed (confinement
   /// assertions).
   rdma::OpStatus probe_owner(int shard);
-  const KvStats& stats() const noexcept { return stats_; }
   const KvConfig& config() const noexcept { return cfg_; }
 
   // --- recovery (DESIGN.md §13) --------------------------------------------
@@ -353,7 +341,6 @@ class KvStore {
   std::uint64_t gen_seen_ = 0;          ///< generation the table was read at
   std::vector<bool> degraded_;          ///< per shard, client-local view
   std::vector<std::unordered_map<std::uint64_t, Record>> records_;
-  KvStats stats_;
 };
 
 }  // namespace fompi::kv

@@ -7,6 +7,8 @@
 #include "common/timing.hpp"
 #include "baselines/mpi22_rma.hpp"
 #include "baselines/pgas.hpp"
+#include "perfmodel/cost_functions.hpp"
+#include "rdma/network_model.hpp"
 
 using namespace fompi;
 using baselines::Mpi22Win;
@@ -120,26 +122,32 @@ TEST(Mpi22, PscwAndLocksWork) {
 }
 
 TEST(Mpi22, SlowerThanCoreUnderModel) {
+  // The comparator's untuned software layer is a host spin of
+  // BaselineModel::mpi22_extra_us (scaled by time_scale) charged on every
+  // op, so its 20 puts take at least 20 of those however the host
+  // schedules the rank threads. That the charge exceeds the core path's
+  // modeled per-put cost is a claim about the model and is checked on the
+  // closed forms: two host timings cannot show it when a preempted core
+  // rank outlasts the comparator.
+  const perf::BaselineModel bm;
+  const rdma::NetworkModel net;
+  EXPECT_GT(bm.mpi22_extra_us * 1e3,
+            net.inter_overhead_ns + net.put_latency_ns(8))
+      << "MPI-2.2 comparator must pay more per op than a core put";
   fabric::FabricOptions opts;
   opts.domain.ranks_per_node = 1;
   opts.domain.inject = rdma::Injection::model;
-  fabric::run_ranks(2, [](RankCtx& ctx) {
-    core::Win fast = core::Win::allocate(ctx, 64);
+  fabric::run_ranks(2, [&](RankCtx& ctx) {
     Mpi22Win slow = Mpi22Win::allocate(ctx, 64);
+    const double scale = ctx.fabric().domain().config().time_scale;
     const std::uint64_t v = 5;
-    fast.fence();
-    Timer t0;
-    for (int i = 0; i < 20; ++i) fast.put(&v, 8, 1 - ctx.rank(), 0);
-    fast.fence();
-    const double fast_us = t0.elapsed_us();
     slow.fence();
-    Timer t1;
+    Timer t;
     for (int i = 0; i < 20; ++i) slow.put(&v, 8, 1 - ctx.rank(), 0);
+    const double slow_us = t.elapsed_us();
     slow.fence();
-    const double slow_us = t1.elapsed_us();
-    EXPECT_GT(slow_us, fast_us + 100.0)
+    EXPECT_GE(slow_us, 20 * bm.mpi22_extra_us * scale)
         << "MPI-2.2 comparator must pay ~9us per op";
     slow.free();
-    fast.free();
   }, opts);
 }

@@ -1,70 +1,109 @@
-// Extensions beyond the MPI-3.0 surface: notified access (NotifyWin),
-// derived-datatype accumulates, and request-based accumulates.
+// Extensions beyond the MPI-3.0 surface: notified access (Win::put_notify
+// over the notification ring), derived-datatype accumulates, and
+// request-based accumulates.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 
-#include "core/notify.hpp"
 #include "core/window.hpp"
+#include "fabric/progress/progress.hpp"
 
 using namespace fompi;
-using core::NotifyWin;
 using core::Win;
 using dt::Datatype;
 using fabric::RankCtx;
+using fabric::progress::NotifyRecord;
+
+namespace {
+
+/// A window armed for put_notify inside a lock_all epoch, as the notified
+/// access extension prescribes (passive target for the window's lifetime).
+Win notify_win(RankCtx& ctx, std::size_t bytes) {
+  Win win = Win::allocate(ctx, bytes);
+  win.lock_all();
+  win.notify_enable(ctx);
+  return win;
+}
+
+void free_notify_win(RankCtx& ctx, Win& win) {
+  win.unlock_all();
+  ctx.barrier();
+  win.free();
+}
+
+/// Class of the Error `f` raises; fails the test when it raises none.
+template <class F>
+ErrClass raised(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.err_class();
+  }
+  ADD_FAILURE() << "no fompi::Error raised";
+  return ErrClass::internal;
+}
+
+}  // namespace
 
 TEST(Notify, PutNotifyDeliversDataBeforeFlag) {
   fabric::run_ranks(2, [](RankCtx& ctx) {
-    NotifyWin win(ctx, 256, /*num_ids=*/4);
+    Win win = notify_win(ctx, 256);
     const int peer = 1 - ctx.rank();
     std::array<std::uint64_t, 4> payload;
     payload.fill(static_cast<std::uint64_t>(ctx.rank()) + 7);
-    win.put_notify(payload.data(), 32, peer, 0, /*id=*/2);
-    win.wait_notify(2);
+    EXPECT_EQ(win.put_notify(payload.data(), 32, peer, 0, /*tag=*/2),
+              rdma::OpStatus::ok);
+    NotifyRecord rec;
+    ASSERT_EQ(win.notify_waitsome(2, &rec, 1), 1u);
+    EXPECT_EQ(rec.source, peer);
+    EXPECT_EQ(rec.tdisp, 0u);
+    EXPECT_EQ(rec.bytes, 32u);
     const auto* mine = static_cast<const std::uint64_t*>(win.base());
     EXPECT_EQ(mine[0], static_cast<std::uint64_t>(peer) + 7);
     EXPECT_EQ(mine[3], static_cast<std::uint64_t>(peer) + 7);
-    win.destroy(ctx);
+    free_notify_win(ctx, win);
   });
 }
 
 TEST(Notify, CountersAccumulateAndConsume) {
+  // Records of one tag queue up until consumed; waitsome takes at most
+  // `max` of them per call.
   fabric::run_ranks(2, [](RankCtx& ctx) {
-    NotifyWin win(ctx, 64, 2);
+    Win win = notify_win(ctx, 64);
     if (ctx.rank() == 0) {
       const std::uint64_t v = 1;
       for (int i = 0; i < 5; ++i) win.put_notify(&v, 8, 1, 0, 0);
       ctx.barrier();
-      ctx.barrier();
     } else {
-      ctx.barrier();
-      EXPECT_EQ(win.test_notify(0), 5u);
-      win.wait_notify(0, 3);
-      EXPECT_EQ(win.test_notify(0), 2u);
-      win.wait_notify(0, 2);
-      EXPECT_EQ(win.test_notify(0), 0u);
-      ctx.barrier();
+      ctx.barrier();  // all five records posted
+      std::array<NotifyRecord, 5> recs;
+      EXPECT_EQ(win.notify_waitsome(0, recs.data(), 3), 3u);
+      EXPECT_EQ(win.notify_waitsome(0, recs.data(), 5), 2u);
+      EXPECT_FALSE(win.notify_probe(0, recs.data())) << "all consumed";
     }
-    win.destroy(ctx);
+    free_notify_win(ctx, win);
   });
 }
 
 TEST(Notify, IdsAreIndependent) {
+  // Tags match independently of arrival order.
   fabric::run_ranks(2, [](RankCtx& ctx) {
-    NotifyWin win(ctx, 64, 3);
+    Win win = notify_win(ctx, 64);
     if (ctx.rank() == 0) {
       const std::uint64_t a = 11, b = 22;
       win.put_notify(&a, 8, 1, 0, 0);
       win.put_notify(&b, 8, 1, 8, 2);
     } else {
-      win.wait_notify(2);  // can wait out of order
-      win.wait_notify(0);
+      NotifyRecord rec;
+      ASSERT_EQ(win.notify_waitsome(2, &rec, 1), 1u);  // out of order
+      ASSERT_EQ(win.notify_waitsome(0, &rec, 1), 1u);
       const auto* mine = static_cast<const std::uint64_t*>(win.base());
       EXPECT_EQ(mine[0], 11u);
       EXPECT_EQ(mine[1], 22u);
-      EXPECT_EQ(win.test_notify(1), 0u);
+      EXPECT_FALSE(win.notify_probe(1, &rec));
     }
-    win.destroy(ctx);
+    free_notify_win(ctx, win);
   });
 }
 
@@ -72,31 +111,44 @@ TEST(Notify, PipelineLikeMilcScheme) {
   // The MILC pattern with notified access: the halo arrives with its flag.
   const int p = 4;
   fabric::run_ranks(p, [&](RankCtx& ctx) {
-    NotifyWin win(ctx, 64, 1);
+    Win win = notify_win(ctx, 64);
     for (int round = 1; round <= 5; ++round) {
       const std::uint64_t v =
           static_cast<std::uint64_t>(round * 100 + ctx.rank());
       win.put_notify(&v, 8, (ctx.rank() + 1) % p, 0, 0);
-      win.wait_notify(0);
+      NotifyRecord rec;
+      ASSERT_EQ(win.notify_waitsome(0, &rec, 1), 1u);
       const auto* mine = static_cast<const std::uint64_t*>(win.base());
       const int left = (ctx.rank() + p - 1) % p;
+      EXPECT_EQ(rec.source, left);
       EXPECT_EQ(mine[0], static_cast<std::uint64_t>(round * 100 + left));
       ctx.barrier();  // buffer reuse across rounds
     }
-    win.destroy(ctx);
+    free_notify_win(ctx, win);
   });
 }
 
 TEST(Notify, Validation) {
   fabric::run_ranks(2, [](RankCtx& ctx) {
-    NotifyWin win(ctx, 64, 2);
+    Win win = Win::allocate(ctx, 64);
+    win.lock_all();
     const std::uint64_t v = 0;
-    EXPECT_THROW(win.put_notify(&v, 8, 1, 0, 5), Error);   // bad id
-    EXPECT_THROW(win.put_notify(&v, 8, 1, 60, 0), Error);  // range
-    EXPECT_THROW(win.wait_notify(-1), Error);
-    EXPECT_THROW(win.test_notify(2), Error);
-    ctx.barrier();
-    win.destroy(ctx);
+    NotifyRecord rec;
+    // Every notified call made before notify_enable raises.
+    EXPECT_EQ(raised([&] { win.put_notify(&v, 8, 1 - ctx.rank(), 0, 0); }),
+              ErrClass::op);
+    EXPECT_EQ(raised([&] { win.notify_probe(0, &rec); }), ErrClass::op);
+    EXPECT_EQ(raised([&] { win.notify_waitsome(0, &rec, 1); }),
+              ErrClass::op);
+    EXPECT_EQ(win.notify_plane(), nullptr);
+    ctx.barrier();  // the plane is shared: no rank enables it early
+    win.notify_enable(ctx);
+    // The payload put keeps the window's own checks.
+    EXPECT_EQ(raised([&] { win.put_notify(&v, 8, 1 - ctx.rank(), 60, 0); }),
+              ErrClass::rma_range);
+    EXPECT_EQ(raised([&] { win.put_notify(&v, 8, 2, 0, 0); }),
+              ErrClass::rank);
+    free_notify_win(ctx, win);
   });
 }
 

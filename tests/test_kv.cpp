@@ -33,6 +33,13 @@ std::uint64_t key_owned_by(const KvStore& store, int owner,
   }
 }
 
+/// Events of kind `op` this rank thread counted since `at`. Op counters
+/// are per thread, and each test keeps one store per rank thread, so the
+/// difference is that store's count.
+std::uint64_t since(const OpCounters& at, Op op) {
+  return op_counters().since(at).get(op);
+}
+
 }  // namespace
 
 // --- basic service behaviour -------------------------------------------------
@@ -160,23 +167,24 @@ TEST(Kv, CacheHitsAfterFirstReadAndInvalidatesOnWrite) {
   // Single active client: deterministic hit/miss accounting.
   fabric::run_ranks(2, [](RankCtx& ctx) {
     KvStore store(ctx);
+    const OpCounters at_start = op_counters();
     if (ctx.rank() == 0) {
       ASSERT_EQ(store.put(77, 100), OpStatus::ok);
       std::uint64_t v = 0;
       bool found = false;
       ASSERT_EQ(store.get(77, &v, &found), OpStatus::ok);  // cold: miss
-      EXPECT_EQ(store.stats().cache_misses, 1u);
-      EXPECT_EQ(store.stats().cache_hits, 0u);
+      EXPECT_EQ(since(at_start, Op::kv_cache_miss), 1u);
+      EXPECT_EQ(since(at_start, Op::kv_cache_hit), 0u);
       ASSERT_EQ(store.get(77, &v, &found), OpStatus::ok);  // warm: hit
-      EXPECT_EQ(store.stats().cache_hits, 1u);
+      EXPECT_EQ(since(at_start, Op::kv_cache_hit), 1u);
       EXPECT_EQ(v, 100u);
       // A write moves the cell's version: the next read must revalidate.
       ASSERT_EQ(store.put(77, 200), OpStatus::ok);
       ASSERT_EQ(store.get(77, &v, &found), OpStatus::ok);
       EXPECT_EQ(v, 200u) << "cache served a stale value across a write";
-      EXPECT_EQ(store.stats().cache_misses, 2u);
+      EXPECT_EQ(since(at_start, Op::kv_cache_miss), 2u);
       ASSERT_EQ(store.get(77, &v, &found), OpStatus::ok);  // warm again
-      EXPECT_EQ(store.stats().cache_hits, 2u);
+      EXPECT_EQ(since(at_start, Op::kv_cache_hit), 2u);
     }
     store.destroy(ctx);
   });
@@ -187,13 +195,14 @@ TEST(Kv, RemoteWriterInvalidatesPeerCache) {
   // observe the new value through the version check (no stale serve).
   fabric::run_ranks(2, [](RankCtx& ctx) {
     KvStore store(ctx);
+    const OpCounters at_start = op_counters();
     std::uint64_t v = 0;
     bool found = false;
     if (ctx.rank() == 0) {
       ASSERT_EQ(store.put(31337, 1), OpStatus::ok);
       ASSERT_EQ(store.get(31337, &v, &found), OpStatus::ok);
       ASSERT_EQ(store.get(31337, &v, &found), OpStatus::ok);
-      EXPECT_GE(store.stats().cache_hits, 1u);
+      EXPECT_GE(since(at_start, Op::kv_cache_hit), 1u);
     }
     ctx.barrier();
     if (ctx.rank() == 1) {
@@ -242,6 +251,7 @@ TEST(KvCache, WarmReadersNeverSeeForeignOrOlderValues) {
   std::atomic<int> writing{0};
   fabric::run_ranks(kRanks, [&](RankCtx& ctx) {
     KvStore store(ctx, cfg);
+    const OpCounters at_start = op_counters();
     const int r = ctx.rank();
     for (std::uint64_t k = 1; k <= kKeys; ++k) {
       if (writer_of(k) != r) continue;
@@ -291,7 +301,8 @@ TEST(KvCache, WarmReadersNeverSeeForeignOrOlderValues) {
       ctx.barrier();
     }
     if (r < 2) {
-      EXPECT_GT(store.stats().cache_hits, 0u) << "the readers never hit";
+      EXPECT_GT(since(at_start, Op::kv_cache_hit), 0u)
+          << "the readers never hit";
     }
     ctx.barrier();
     store.destroy(ctx);
@@ -313,6 +324,7 @@ TEST(KvCache, ErasedChainKeyCellReclaimedByAnotherKeyMisses) {
   opts.domain.ranks_per_node = 1;
   fabric::run_ranks(2, [&](RankCtx& ctx) {
     KvStore store(ctx, cfg);
+    const OpCounters at_start = op_counters();
     std::uint64_t v = 0;
     bool found = false;
     if (ctx.rank() == 1) {
@@ -324,7 +336,7 @@ TEST(KvCache, ErasedChainKeyCellReclaimedByAnotherKeyMisses) {
       EXPECT_EQ(store.get(kA, &v, &found), OpStatus::ok);
       EXPECT_EQ(store.get(kA, &v, &found), OpStatus::ok);
       EXPECT_EQ(v, 50u);
-      EXPECT_EQ(store.stats().cache_hits, 1u) << "kA was not cached";
+      EXPECT_EQ(since(at_start, Op::kv_cache_hit), 1u) << "kA was not cached";
     }
     ctx.barrier();
     if (ctx.rank() == 1) {
@@ -338,7 +350,7 @@ TEST(KvCache, ErasedChainKeyCellReclaimedByAnotherKeyMisses) {
       EXPECT_EQ(store.get(kB, &v, &found), OpStatus::ok);
       EXPECT_TRUE(found);
       EXPECT_EQ(v, 90u);
-      EXPECT_EQ(store.stats().cache_hits, 1u);
+      EXPECT_EQ(since(at_start, Op::kv_cache_hit), 1u);
     }
     ctx.barrier();
     if (ctx.rank() == 1) {
@@ -351,7 +363,8 @@ TEST(KvCache, ErasedChainKeyCellReclaimedByAnotherKeyMisses) {
         EXPECT_TRUE(found);
         EXPECT_EQ(v, 51u);
       }
-      EXPECT_EQ(store.stats().cache_hits, 2u) << "kA's new cell not cached";
+      EXPECT_EQ(since(at_start, Op::kv_cache_hit), 2u)
+          << "kA's new cell not cached";
       EXPECT_EQ(store.get(kTop, &v, &found), OpStatus::ok);
       EXPECT_EQ(v, 30u);
     }
@@ -369,6 +382,7 @@ TEST(KvCache, ScrubRepairOfACachedCellMisses) {
   opts.domain.ranks_per_node = 1;
   fabric::run_ranks(3, [&](RankCtx& ctx) {
     KvStore store(ctx);
+    const OpCounters at_start = op_counters();
     const auto k = key_owned_by(store, 0);
     std::uint64_t v = 0;
     bool found = false;
@@ -381,7 +395,7 @@ TEST(KvCache, ScrubRepairOfACachedCellMisses) {
       EXPECT_EQ(store.get(k, &v, &found), OpStatus::ok);
       EXPECT_EQ(store.get(k, &v, &found), OpStatus::ok);
       EXPECT_EQ(v, 10u);
-      EXPECT_EQ(store.stats().cache_hits, 1u);
+      EXPECT_EQ(since(at_start, Op::kv_cache_hit), 1u);
     }
     ctx.barrier();
     if (ctx.rank() == 1) {
@@ -392,12 +406,12 @@ TEST(KvCache, ScrubRepairOfACachedCellMisses) {
     }
     ctx.barrier();
     if (ctx.rank() == 2) {
-      const auto misses = store.stats().cache_misses;
+      const auto misses = since(at_start, Op::kv_cache_miss);
       EXPECT_EQ(store.get(k, &v, &found), OpStatus::ok);
       EXPECT_TRUE(found);
       EXPECT_EQ(v, 11u) << "the warm record outlived the repair";
-      EXPECT_EQ(store.stats().cache_hits, 1u);
-      EXPECT_EQ(store.stats().cache_misses, misses + 1);
+      EXPECT_EQ(since(at_start, Op::kv_cache_hit), 1u);
+      EXPECT_EQ(since(at_start, Op::kv_cache_miss), misses + 1);
     }
     ctx.barrier();
     store.destroy(ctx);
@@ -710,6 +724,7 @@ TEST(KvFailover, OwnerKillDegradesToReplicaWithTypedConfinement) {
       kRanks,
       [&](RankCtx& ctx) {
         KvStore store(ctx);  // window is errors_return by construction
+        const OpCounters at_start = op_counters();
         // Healthy phase: rank 0 seeds keys for every shard owner,
         // replicated write-through. Keep rank 1's own op budget low so it
         // dies in the traffic phase, not here.
@@ -756,7 +771,7 @@ TEST(KvFailover, OwnerKillDegradesToReplicaWithTypedConfinement) {
           EXPECT_EQ(v, k + 5000);
           EXPECT_TRUE(store.degraded(store.shard_of(k)));
         }
-        EXPECT_GT(store.stats().failovers, 0u);
+        EXPECT_GT(since(at_start, Op::kv_failover), 0u);
         // Degraded writes land on the replica and read back. Use a fresh
         // rank-1-owned key: other survivors are still verifying dead_keys.
         if (ctx.rank() == 2) {
@@ -952,6 +967,7 @@ TEST(KvRecovery, OwnerKillPromotesAndRestoresRedundancy) {
       kRanks,
       [&](RankCtx& ctx) {
         KvStore store(ctx);
+        const OpCounters at_start = op_counters();
         std::vector<std::uint64_t> dead_keys;
         {
           std::uint64_t from = 1;
@@ -1018,12 +1034,12 @@ TEST(KvRecovery, OwnerKillPromotesAndRestoresRedundancy) {
         // Cache leverage is back: reads of recovered shards revalidate
         // against the promoted primary's cell versions and hit.
         {
-          const auto hits_before = store.stats().cache_hits;
+          const auto hits_before = since(at_start, Op::kv_cache_hit);
           std::uint64_t v = 0;
           bool found = false;
           ASSERT_EQ(store.get(dead_keys[0], &v, &found), OpStatus::ok);
           ASSERT_EQ(store.get(dead_keys[0], &v, &found), OpStatus::ok);
-          EXPECT_GT(store.stats().cache_hits, hits_before)
+          EXPECT_GT(since(at_start, Op::kv_cache_hit), hits_before)
               << "recovered shard no longer caches";
         }
         // Writes replicate through to the fresh spare copy again: after
@@ -1250,6 +1266,7 @@ TEST(KvRecovery, DoubleKillIsTypedDataLossNeverStale) {
       kRanks,
       [&](RankCtx& ctx) {
         KvStore store(ctx);
+        const OpCounters at_start = op_counters();
         // Shards owned by rank 1 have their replica on rank 2: killing
         // both erases every copy.
         const auto lost_key = key_owned_by(store, 1);
@@ -1288,7 +1305,7 @@ TEST(KvRecovery, DoubleKillIsTypedDataLossNeverStale) {
                   OpStatus::data_loss);
         EXPECT_EQ(settled_op([&] { return store.put(lost_key, 9); }),
                   OpStatus::data_loss);
-        EXPECT_GE(store.stats().data_loss_ops, 2u);
+        EXPECT_GE(since(at_start, Op::kv_data_loss), 2u);
         const auto rep = heal_until_settled(store, ctx);
         EXPECT_EQ(rep.status, OpStatus::data_loss);
         EXPECT_GE(rep.lost, 1);
@@ -1436,6 +1453,7 @@ TEST(KvRecovery, StaleClientRetiresTypedRetryRoutingThenRecovers) {
       kRanks,
       [&](RankCtx& ctx) {
         KvStore store(ctx);
+        const OpCounters at_start = op_counters();
         const auto doomed = key_owned_by(store, 1);
         if (ctx.rank() == 0) {
           ASSERT_EQ(store.put(doomed, 77), OpStatus::ok);
@@ -1464,7 +1482,7 @@ TEST(KvRecovery, StaleClientRetiresTypedRetryRoutingThenRecovers) {
           EXPECT_EQ(st, OpStatus::ok);
           EXPECT_TRUE(found);
           EXPECT_EQ(v, 77u);
-          EXPECT_GE(store.stats().retry_routing, 1u)
+          EXPECT_GE(since(at_start, Op::kv_retry_routing), 1u)
               << "stale generation must retire typed retry_routing";
         } else {
           heal_until_settled(store, ctx);
@@ -1480,6 +1498,7 @@ TEST(KvRecovery, StaleClientRetiresTypedRetryRoutingThenRecovers) {
 TEST(KvScrub, RepairsInjectedDivergenceToVersionWinnerAndIsIdempotent) {
   fabric::run_ranks(2, [](RankCtx& ctx) {
     KvStore store(ctx);
+    const OpCounters at_start = op_counters();
     if (ctx.rank() == 0) {
       const auto k1 = key_owned_by(store, 0);
       const auto k2 = key_owned_by(store, 0, k1 + 1);
@@ -1490,7 +1509,7 @@ TEST(KvScrub, RepairsInjectedDivergenceToVersionWinnerAndIsIdempotent) {
       bool found = false;
       ASSERT_EQ(store.get(k1, &v, &found), OpStatus::ok);
       ASSERT_EQ(store.get(k1, &v, &found), OpStatus::ok);
-      ASSERT_EQ(store.stats().cache_hits, 1u) << "k1 was not cached";
+      ASSERT_EQ(since(at_start, Op::kv_cache_hit), 1u) << "k1 was not cached";
       // Diverge the pair both ways: k1's replica ahead (higher version),
       // k2's primary ahead.
       ASSERT_EQ(store.debug_write_copy(k1, /*replica=*/true, 111),
@@ -1511,12 +1530,12 @@ TEST(KvScrub, RepairsInjectedDivergenceToVersionWinnerAndIsIdempotent) {
       // Version winners: k1's replica write (newer) must now be the
       // primary-visible value; k2's primary write stays authoritative. The
       // repair moved k1's cell version, so the warm record misses.
-      const auto misses = store.stats().cache_misses;
+      const auto misses = since(at_start, Op::kv_cache_miss);
       ASSERT_EQ(store.get(k1, &v, &found), OpStatus::ok);
       EXPECT_TRUE(found);
       EXPECT_EQ(v, 111u) << "higher-version replica write lost";
-      EXPECT_EQ(store.stats().cache_hits, 1u) << "stale record served";
-      EXPECT_EQ(store.stats().cache_misses, misses + 1);
+      EXPECT_EQ(since(at_start, Op::kv_cache_hit), 1u) << "stale record served";
+      EXPECT_EQ(since(at_start, Op::kv_cache_miss), misses + 1);
       ASSERT_EQ(store.get(k2, &v, &found), OpStatus::ok);
       EXPECT_TRUE(found);
       EXPECT_EQ(v, 222u);

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <thread>
 
-#include "common/timing.hpp"
 #include "core/mcs_lock.hpp"
 
 using namespace fompi;
@@ -73,27 +72,37 @@ TEST(Mcs, ContendedAcquireBoundedRemoteOps) {
 
 TEST(Mcs, HandoffOrderIsFifo) {
   // Ranks enqueue in a controlled order; the lock must be granted in the
-  // same order.
+  // same order. The order comes from the queue itself: each step waits
+  // until the tail word at the master names the rank enqueued before it.
   const int p = 3;
   std::atomic<int> next_expected{1};
   fabric::run_ranks(p, [&](RankCtx& ctx) {
     Win win = Win::allocate(ctx, 64);
     win.lock_all();
     McsLock lock(win, 0);
+    // Word 0 at rank 0 is the tail: r + 1 while rank r is last in line.
+    const auto wait_for_tail = [&](std::uint64_t last_rank) {
+      std::uint64_t tail = 0;
+      while (true) {
+        win.fetch_and_op(nullptr, &tail, Elem::u64, RedOp::no_op, 0, 0);
+        win.flush(0);
+        if (tail == last_rank + 1) return;
+        ctx.yield_check();
+      }
+    };
     if (ctx.rank() == 0) {
-      lock.acquire();          // hold while the others queue up
-      ctx.barrier();           // rank 1 then rank 2 enqueue (ordered below)
-      spin_for_ns(10'000'000); // let both enter the queue
-      lock.release();
+      lock.acquire();    // hold while the others queue up
       ctx.barrier();
+      wait_for_tail(2);  // rank 1, then rank 2 in the queue
+      lock.release();
     } else {
       ctx.barrier();
-      if (ctx.rank() == 2) spin_for_ns(5'000'000);  // rank 1 queues first
+      if (ctx.rank() == 2) wait_for_tail(1);  // rank 1 queues first
       lock.acquire();
       EXPECT_EQ(next_expected.fetch_add(1), ctx.rank());
       lock.release();
-      ctx.barrier();
     }
+    ctx.barrier();
     win.unlock_all();
     win.free();
   });
